@@ -7,14 +7,7 @@ matching, fuzzy substring alignment, and string similarity metrics.
 """
 
 from .evaluation import EvalPair, EvalReport, block_hull, evaluate, match_blocks
-from .fuzzy import (
-    FuzzyConfig,
-    MatchResult,
-    SearchStats,
-    best_fuzzy_substring,
-    best_fuzzy_substring_bruteforce,
-    levenshtein,
-)
+from .fuzzy import MatchResult, best_fuzzy_substring, levenshtein
 from .geo_order import OrderingMode, choose_mode, geometric_order
 from .geometry import (
     AlignedRect,

@@ -4,7 +4,7 @@ Subcommands::
 
     blockspot order   input.json --backend KIND --out out.json
     blockspot eval    pred.json gt.json [--out report.json]
-    blockspot fuzzy   QUERY CORPUS_OR_FILE [--oracle]
+    blockspot fuzzy   QUERY CORPUS_OR_FILE
     blockspot prompt  input.json BLOCK_INDEX
 
 Backend kinds: ``http``, ``scripted:replies.json``, ``replay:transcript.jsonl``
@@ -12,8 +12,9 @@ and ``geometric-only`` (no LLM; every block uses the position order).
 
 Settings merge as flags > environment > config file > defaults.  The only
 environment setting is the API key (``BLOCKSPOT_API_KEY``); ``--config``
-names a JSON file whose keys mirror the flag names.  Every report embeds
-the effective configuration so runs can be reproduced.
+names a JSON file whose keys mirror the flag names and whose values must
+have the setting's type.  Every report embeds the effective configuration
+so runs can be reproduced.
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 backend
 configuration errors.
@@ -26,9 +27,10 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .evaluation import evaluate, render_table, report_to_json
-from .fuzzy import FuzzyConfig, best_fuzzy_substring, best_fuzzy_substring_bruteforce
+from .fuzzy import best_fuzzy_substring
 from .llm import (
     HttpBackend,
     LlmBackend,
@@ -62,13 +64,16 @@ class Settings:
     max_retries: int = 3
     endpoint_url: str = ""
     min_iou: float = 0.0
-    stage1_factor: float = 2.0
-    stage2_factor: float = 4.0
     concurrency: int = DEFAULT_CONCURRENCY
 
     def echo(self) -> dict:
         """Reproducibility record; never includes the API key."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# JSON value types a config file may give for each Settings field type;
+# bool is excluded separately because it is an int subclass.
+_CONFIG_TYPES = {str: (str,), int: (int,), float: (int, float)}
 
 
 def _merge_settings(args: argparse.Namespace) -> Settings:
@@ -83,11 +88,16 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
             raise BackendConfigError(f"config file is not valid JSON: {e}") from e
         if not isinstance(data, dict):
             raise BackendConfigError("config file must hold a JSON object")
-        known = {f.name for f in fields(Settings)}
+        types = get_type_hints(Settings)
         for key, value in data.items():
-            if key not in known:
+            if key not in types:
                 raise BackendConfigError(f"unknown config key {key!r}")
-            setattr(settings, key, value)
+            expected = types[key]
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[expected]):
+                raise BackendConfigError(
+                    f"config key {key!r} must be {expected.__name__}, got {json.dumps(value)}"
+                )
+            setattr(settings, key, expected(value))
     for f in fields(Settings):
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
@@ -181,11 +191,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     pred = load_document(args.pred, DocumentKind.PREDICTION)
     gt = load_document(args.gt, DocumentKind.GROUND_TRUTH)
-    fuzzy_config = FuzzyConfig(
-        stage_1_factor=settings.stage1_factor, stage_2_factor=settings.stage2_factor
-    )
     try:
-        report = evaluate(pred, gt, fuzzy_config, min_iou=settings.min_iou)
+        report = evaluate(pred, gt, min_iou=settings.min_iou)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -196,19 +203,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzzy(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
     corpus = args.corpus
     if Path(corpus).is_file():
         corpus = Path(corpus).read_text("utf-8")
         if corpus.endswith("\n"):
             corpus = corpus[:-1]
-    if args.oracle:
-        match = best_fuzzy_substring_bruteforce(args.query, corpus)
-    else:
-        config = FuzzyConfig(
-            stage_1_factor=settings.stage1_factor, stage_2_factor=settings.stage2_factor
-        )
-        match = best_fuzzy_substring(args.query, corpus, config)
+    match = best_fuzzy_substring(args.query, corpus)
     print(
         json.dumps(
             {
@@ -239,8 +239,6 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (lowest precedence)")
-    parser.add_argument("--stage1-factor", dest="stage1_factor", type=float)
-    parser.add_argument("--stage2-factor", dest="stage2_factor", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     fz = sub.add_parser("fuzzy", help="best fuzzy substring match of QUERY in a corpus")
     fz.add_argument("query")
     fz.add_argument("corpus", help="corpus text, or a file to read it from")
-    fz.add_argument("--oracle", action="store_true", help="use the exact brute-force search")
     _add_common_flags(fz)
     fz.set_defaults(func=cmd_fuzzy)
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fuzzy import FuzzyConfig, best_fuzzy_substring
+from .fuzzy import best_fuzzy_substring
 from .geometry import iou as quad_iou
 from .geometry import quad_bounds
 from .metrics import MetricVector, compute_metrics
@@ -47,7 +47,6 @@ class EvalReport:
     mean_nld: float | None
     mean_jaro_winkler: float | None
     mean_ratcliff_obershelp: float | None
-    fuzzy_config: FuzzyConfig
     min_iou: float
 
 
@@ -86,16 +85,8 @@ def match_blocks(
     return matches
 
 
-def evaluate(
-    pred: Document,
-    gt: Document,
-    fuzzy_config: FuzzyConfig | None = None,
-    min_iou: float = 0.0,
-) -> EvalReport:
+def evaluate(pred: Document, gt: Document, min_iou: float = 0.0) -> EvalReport:
     """Match blocks, align texts by fuzzy substring, and average metrics."""
-    if fuzzy_config is None:
-        fuzzy_config = FuzzyConfig()
-
     for i, block in enumerate(pred.blocks):
         if block.text is None:
             raise ValueError(f"prediction block {i} has no text")
@@ -108,7 +99,7 @@ def evaluate(
     for p, g, value in matches:
         pred_text = pred.blocks[p].text
         gt_text = gt.blocks[g].text
-        found = best_fuzzy_substring(pred_text, gt_text, fuzzy_config)
+        found = best_fuzzy_substring(pred_text, gt_text)
         pairs.append(
             EvalPair(
                 pred_block_index=p,
@@ -129,18 +120,13 @@ def evaluate(
         mean_nld=mean([p.metrics.nld for p in pairs]),
         mean_jaro_winkler=mean([p.metrics.jaro_winkler for p in pairs]),
         mean_ratcliff_obershelp=mean([p.metrics.ratcliff_obershelp for p in pairs]),
-        fuzzy_config=fuzzy_config,
         min_iou=min_iou,
     )
 
 
 def report_to_dict(report: EvalReport) -> dict:
     return {
-        "config": {
-            "stage_1_factor": report.fuzzy_config.stage_1_factor,
-            "stage_2_factor": report.fuzzy_config.stage_2_factor,
-            "min_iou": report.min_iou,
-        },
+        "config": {"min_iou": report.min_iou},
         "num_pairs": len(report.pairs),
         "unmatched_pred": report.unmatched_pred,
         "mean_normalized_levenshtein": report.mean_nld,

@@ -1,41 +1,16 @@
-"""Approximate substring search: Levenshtein distance and a two-stage scan.
+"""Approximate substring search: Levenshtein distance and best fuzzy substring.
 
 The best fuzzy substring match of ``query`` in ``corpus`` is the substring
-of ``corpus`` with the lowest Levenshtein distance to ``query``.  The exact
-answer requires comparing the query against every substring, which is
-quadratic in the corpus length; :func:`best_fuzzy_substring` instead runs a
-coarse sliding-window scan to locate promising regions and then searches
-those regions exhaustively.  The fast path is a heuristic: it can miss the
-global optimum on pathological inputs (long whitespace runs, heavy character
-repetition) but agrees with the exhaustive answer on normal text.
-
-:func:`best_fuzzy_substring_bruteforce` is the exact reference.  It is
-implemented with a semi-global alignment (free start/end gaps on the corpus
-side), which yields the same result as literally enumerating all substrings
-while staying O(len(query) * len(corpus)).
+of ``corpus`` with the lowest Levenshtein distance to ``query``.
+:func:`best_fuzzy_substring` finds it exactly with a semi-global alignment
+(free start/end gaps on the corpus side, Sellers 1980), which yields the
+same result as literally enumerating all substrings while staying
+O(len(query) * len(corpus)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class FuzzyConfig:
-    """Tuning knobs for the two-stage search.
-
-    ``stage_1_factor`` controls the coarse scan's step size
-    (step = len(query) / stage_1_factor).  ``stage_2_factor`` controls how
-    many near-best coarse windows are promoted to high-resolution regions;
-    raising it trades speed for robustness on repetitive corpora.
-    """
-
-    stage_1_factor: float = 2.0
-    stage_2_factor: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.stage_1_factor <= 0 or self.stage_2_factor <= 0:
-            raise ValueError("stage factors must be positive")
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -50,26 +25,6 @@ class MatchResult:
     start: int
     end: int
     distance: int
-
-
-@dataclass
-class SearchStats:
-    """Instrumentation for the two-stage search.
-
-    ``comparisons`` counts query-vs-substring evaluations: one per coarse
-    window in stage 1, plus one per substring each stage-2 region scan
-    covers (the region scan shares work across substrings, but it examines
-    every substring of the region, so each one is counted).
-    """
-
-    comparisons: int = 0
-    stage_1_comparisons: int = 0
-    regions: list[tuple[int, int]] = field(default_factory=list)
-
-
-def brute_force_comparisons(corpus_length: int) -> int:
-    """Number of non-empty substrings a full enumeration would compare."""
-    return corpus_length * (corpus_length + 1) // 2
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -99,42 +54,7 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _levenshtein_bounded(a: str, b: str, limit: int) -> int:
-    """Edit distance if it is < ``limit``, otherwise any value >= ``limit``.
-
-    Abandons the DP as soon as no cell can finish below ``limit``; used to
-    skip hopeless windows during scans without changing which windows win.
-    """
-    la, lb = len(a), len(b)
-    if la < lb:
-        a, b, la, lb = b, a, lb, la
-    if la - lb >= limit:
-        return limit
-    if not lb:
-        return la
-    prev = list(range(lb + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        row_min = i
-        for j, cb in enumerate(b, 1):
-            best = prev[j - 1] + (ca != cb)
-            dele = prev[j] + 1
-            if dele < best:
-                best = dele
-            ins = cur[j - 1] + 1
-            if ins < best:
-                best = ins
-            append(best)
-            if best < row_min:
-                row_min = best
-        if row_min >= limit:
-            return limit
-        prev = cur
-    return prev[-1]
-
-
-def best_fuzzy_substring_bruteforce(query: str, corpus: str) -> MatchResult:
+def best_fuzzy_substring(query: str, corpus: str) -> MatchResult:
     """Exact best match over every substring of ``corpus``.
 
     Ties are broken by smaller start index, then shorter substring.  An
@@ -184,85 +104,3 @@ def best_fuzzy_substring_bruteforce(query: str, corpus: str) -> MatchResult:
             best_end = j
     s = start[best_end]
     return MatchResult(corpus[s:best_end], s, best_end, dist[best_end])
-
-
-# Coarse windows whose distance is within this margin of the best window
-# are treated as localization ties and promoted to their own regions.
-_SEED_MARGIN = 2
-
-
-def best_fuzzy_substring(
-    query: str,
-    corpus: str,
-    config: FuzzyConfig | None = None,
-    stats: SearchStats | None = None,
-) -> MatchResult:
-    """Two-stage approximate search for the best fuzzy substring match.
-
-    Stage 1 slides a query-sized window across the corpus at a coarse step
-    and ranks the windows by distance.  Stage 2 takes the best window plus
-    any near-ties (up to ``round(stage_2_factor)`` of them), widens each by
-    the query length on both sides, and scans every substring of those
-    regions exactly.  The result is never better than the brute-force
-    optimum and matches it on normal strings; pass ``stats`` to count the
-    substring comparisons performed.
-    """
-    if config is None:
-        config = FuzzyConfig()
-    if not query:
-        return MatchResult("", 0, 0, 0)
-
-    m, n = len(query), len(corpus)
-    if n <= m:
-        # Stage 1's window does not fit; the corpus is small enough that the
-        # exact scan is cheap, and it preserves brute-force tie-breaking.
-        result = best_fuzzy_substring_bruteforce(query, corpus)
-        if stats is not None:
-            stats.comparisons += brute_force_comparisons(n)
-            stats.regions.append((0, n))
-        return result
-
-    # Stage 1: coarse scan, window = len(query).
-    step = max(1, round(m / config.stage_1_factor))
-    starts = list(range(0, n - m + 1, step))
-    if starts[-1] != n - m:
-        starts.append(n - m)  # always inspect the tail
-    best_d = m + n  # upper bound on any distance
-    scored: list[tuple[int, int]] = []
-    for s in starts:
-        d = _levenshtein_bounded(query, corpus[s : s + m], best_d + _SEED_MARGIN + 1)
-        scored.append((d, s))
-        if d < best_d:
-            best_d = d
-    if stats is not None:
-        stats.comparisons += len(starts)
-        stats.stage_1_comparisons = len(starts)
-
-    # Promote the best window and near-ties to regions, widened by the
-    # query length on each side, merging overlaps.
-    max_seeds = max(1, round(config.stage_2_factor))
-    scored.sort()
-    intervals = sorted(
-        (max(0, s - m), min(n, s + 2 * m))
-        for d, s in scored[:max_seeds]
-        if d <= best_d + _SEED_MARGIN
-    )
-    regions: list[tuple[int, int]] = []
-    for lo, hi in intervals:
-        if regions and lo <= regions[-1][1]:
-            regions[-1] = (regions[-1][0], max(regions[-1][1], hi))
-        else:
-            regions.append((lo, hi))
-
-    # Stage 2: exact search inside each region.
-    best: tuple[int, int, int] | None = None
-    for lo, hi in regions:
-        if stats is not None:
-            stats.comparisons += brute_force_comparisons(hi - lo)
-            stats.regions.append((lo, hi))
-        sub = best_fuzzy_substring_bruteforce(query, corpus[lo:hi])
-        key = (sub.distance, lo + sub.start, sub.end - sub.start)
-        if best is None or key < best:
-            best = key
-    d, s, length = best
-    return MatchResult(corpus[s : s + length], s, s + length, d)

@@ -58,30 +58,19 @@ def geometric_order(lines: Sequence[tuple[Line, AlignedRect]]) -> list[int]:
         threshold = 0.5 * median(rect.width for _, rect in lines)
 
     ids = [line.id for line, _ in lines]
-    n = len(lines)
 
-    # single-linkage components over |center distance| < threshold
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(along[i] - along[j]) < threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    # Single-linkage clusters over |center distance| < threshold: in 1-D
+    # these are the runs of the sorted centers split at every gap >= threshold.
+    groups: list[list[int]] = []
+    previous = None
+    for i in sorted(range(len(lines)), key=along.__getitem__):
+        if previous is None or along[i] - previous >= threshold:
+            groups.append([])
+        groups[-1].append(i)
+        previous = along[i]
 
     ordered_groups = sorted(
-        groups.values(),
+        groups,
         key=lambda members: (
             sum(along[i] for i in members) / len(members),
             min(ids[i] for i in members),

@@ -144,13 +144,6 @@ class TestFuzzy:
         result = json.loads(capsys.readouterr().out)
         assert result == {"substring": "CYCLING", "start": 19, "end": 26, "distance": 1}
 
-    def test_oracle_flag_agrees(self, capsys):
-        main(["fuzzy", "CYCLNG", "20 REASONS TO LOVE CYCLING"])
-        fast = json.loads(capsys.readouterr().out)
-        main(["fuzzy", "CYCLNG", "20 REASONS TO LOVE CYCLING", "--oracle"])
-        oracle = json.loads(capsys.readouterr().out)
-        assert fast == oracle
-
     def test_empty_query(self, capsys):
         assert main(["fuzzy", "", "anything"]) == 0
         result = json.loads(capsys.readouterr().out)
@@ -221,6 +214,36 @@ class TestConfigPrecedence:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"turbo": True}))
         assert main(["order", str(doc_path), "--config", str(config), "--out", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize(
+        ("command", "setting"),
+        [
+            ("order", {"concurrency": "4"}),
+            ("order", {"concurrency": True}),
+            ("order", {"concurrency": 2.5}),
+            ("order", {"backend": None}),
+            ("order", {"temperature": [0]}),
+            ("eval", {"min_iou": "0.5"}),
+            ("eval", {"min_iou": False}),
+        ],
+    )
+    def test_mistyped_config_value_exits_3(self, tmp_path, sign_fixture, capsys, command, setting):
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(setting))
+        args = [str(doc_path), "--config", str(config)]
+        args += ["--out", str(tmp_path / "o.json")] if command == "order" else [str(doc_path)]
+        assert main([command, *args]) == 3
+        assert f"config key {next(iter(setting))!r} must be" in capsys.readouterr().err
+
+    def test_int_config_value_accepted_for_float(self, tmp_path, sign_fixture):
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"temperature": 0, "concurrency": 1}))
+        out = tmp_path / "o.json"
+        assert main(["order", str(doc_path), "--config", str(config), "--out", str(out)]) == 0
+        echoed = json.loads(out.with_suffix(".outcomes.json").read_text())["config"]
+        assert echoed["temperature"] == 0.0 and isinstance(echoed["temperature"], float)
 
     def test_config_echo_in_outcomes(self, tmp_path, sign_fixture):
         doc_path, replies = sign_fixture

@@ -15,7 +15,6 @@ from blockspot.evaluation import (
     report_to_dict,
     report_to_json,
 )
-from blockspot.fuzzy import FuzzyConfig
 from blockspot.geometry import quad_bounds
 from blockspot.model import Block, Document, validate_document
 
@@ -205,10 +204,9 @@ class TestEvaluate:
 
     def test_config_echoed(self):
         doc = synthetic_gt(3)
-        cfg = FuzzyConfig(stage_1_factor=3.0, stage_2_factor=5.0)
-        report = evaluate(doc, doc, cfg, min_iou=0.25)
-        assert report.fuzzy_config == cfg
+        report = evaluate(doc, doc, min_iou=0.25)
         assert report.min_iou == 0.25
+        assert report_to_dict(report)["config"] == {"min_iou": 0.25}
 
 
 class TestRendering:
@@ -218,7 +216,7 @@ class TestRendering:
         data = json.loads(report_to_json(report))
         assert data["num_pairs"] == 3
         assert data["mean_jaro_winkler"] == pytest.approx(1.0)
-        assert data["config"]["stage_1_factor"] == 2.0
+        assert data["config"]["min_iou"] == 0.0
         assert len(data["pairs"]) == 3
         assert report_to_dict(report)["pairs"][0]["gt_substring"]
 

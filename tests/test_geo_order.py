@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from statistics import median
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,49 @@ def make_line(line_id: int, rect: AlignedRect, text: str = "") -> tuple[Line, Al
         ]
     )
     return Line(id=line_id, box=box, text=text), rect
+
+
+def union_find_order(lines: list[tuple[Line, AlignedRect]]) -> list[int]:
+    """Oracle for ``geometric_order``: single linkage by union-find over all pairs."""
+    if choose_mode(lines) is OrderingMode.TTB_LTR:
+        along = [rect.center[1] for _, rect in lines]
+        across = [rect.x_min for _, rect in lines]
+        threshold = 0.5 * median(rect.height for _, rect in lines)
+    else:
+        along = [rect.center[0] for _, rect in lines]
+        across = [rect.y_min for _, rect in lines]
+        threshold = 0.5 * median(rect.width for _, rect in lines)
+    ids = [line.id for line, _ in lines]
+    n = len(lines)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(along[i] - along[j]) < threshold:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    ordered_groups = sorted(
+        groups.values(),
+        key=lambda members: (
+            sum(along[i] for i in members) / len(members),
+            min(ids[i] for i in members),
+        ),
+    )
+    result: list[int] = []
+    for members in ordered_groups:
+        members.sort(key=lambda i: (across[i], ids[i]))
+        result.extend(ids[i] for i in members)
+    return result
 
 
 class TestChooseMode:
@@ -133,3 +177,24 @@ class TestGeometricOrder:
             y = rnd.uniform(0, 400)
             lines.append(make_line(i, AlignedRect(x, y, x + rnd.uniform(4, 120), y + rnd.uniform(4, 120))))
         assert geometric_order(lines) == geometric_order(list(lines))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 40),  # x_min, y_min on a coarse grid: many tied centers
+                st.integers(0, 40),
+                st.sampled_from([1, 2, 4, 7, 12, 30]),  # width
+                st.sampled_from([1, 2, 4, 7, 12, 30]),  # height
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.permutations(range(12)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_union_find_oracle(self, boxes, id_perm):
+        lines = [
+            make_line(id_perm[i], AlignedRect(x, y, x + w, y + h))
+            for i, (x, y, w, h) in enumerate(boxes)
+        ]
+        assert geometric_order(lines) == union_find_order(lines)
