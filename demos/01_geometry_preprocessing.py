@@ -5,8 +5,8 @@ line is rotated to the nearest axis, cropped, and cut into parts that
 keep the recognizer's 32x128 aspect ratio.
 """
 
-from blockspot import RecognizerSpec, crop_rect, iou, snap_rotation, split_for_recognizer
-from blockspot.geometry import rotate_point
+from blockspot import RecognizerSpec, crop_rect, rect_iou, snap_rotation, split_for_recognizer
+from blockspot.geometry import quad_bounds, rotate_point
 
 # a 400x50 line tilted by 30 degrees
 upright = [(100, 300), (500, 300), (500, 350), (100, 350)]
@@ -28,8 +28,12 @@ for i, part in enumerate(parts):
 steep = [rotate_point(p, 75.0) for p in upright]
 print(f"\na 75-degree line instead rotates by {snap_rotation(steep):+.1f} degrees (to the y-axis)")
 
-# exact IoU between rotated boxes, used later for block matching
-a = [(0, 0), (4, 0), (4, 4), (0, 4)]
-b = [rotate_point(p, 45.0) for p in [(-3, -3), (1, -3), (1, 1), (-3, 1)]]
-print(f"\nIoU of an axis-aligned square and a rotated one: {iou(a, b):.4f}")
-print(f"IoU of a box with itself: {iou(a, a):.1f}")
+# block matching compares hulls, the axis-aligned rectangles around a
+# block's lines: a two-line ground-truth block against a prediction that
+# holds only its first line
+below = [(100, 360), (420, 360), (420, 410), (100, 410)]
+truth = quad_bounds(upright + below)
+predicted = quad_bounds(upright)
+print(f"\nground-truth hull {truth.width:.0f} x {truth.height:.0f}, predicted hull {predicted.width:.0f} x {predicted.height:.0f}")
+print(f"IoU of the two hulls: {rect_iou(predicted, truth):.4f}")
+print(f"IoU of a hull with itself: {rect_iou(truth, truth):.1f}")

@@ -14,7 +14,7 @@ from .geometry import (
     GeometryError,
     RecognizerSpec,
     crop_rect,
-    iou,
+    rect_iou,
     snap_rotation,
     split_for_recognizer,
     translate_block_boxes,

@@ -12,12 +12,12 @@ and ``geometric-only`` (no LLM; every block uses the position order).
 
 Settings merge as flags > environment > config file > defaults.  The only
 environment setting is the API key (``BLOCKSPOT_API_KEY``); ``--config``
-names a JSON file whose keys mirror the flag names and whose values must
-have the setting's type.  Every report embeds the effective configuration
-so runs can be reproduced.
+(``order`` and ``eval`` only) names a JSON file whose keys mirror the flag
+names and whose values must have the setting's type.  Every report embeds
+the effective configuration so runs can be reproduced.
 
-Exit codes: 0 success, 2 unreadable or invalid input, 3 backend
-configuration errors.
+Exit codes: 0 success, 2 unreadable or invalid input (including an output
+path that cannot be written), 3 backend configuration errors.
 """
 
 from __future__ import annotations
@@ -49,6 +49,17 @@ EXIT_BACKEND = 3
 
 class BackendConfigError(Exception):
     pass
+
+
+class InputError(Exception):
+    """A file named on the command line cannot be read or written."""
+
+
+def _write(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as e:
+        raise InputError(f"cannot write output: {e}") from e
 
 
 @dataclass
@@ -160,7 +171,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     out_doc, outcomes = run(doc, backend, config, concurrency=settings.concurrency)
 
     out_path = Path(args.out)
-    out_path.write_bytes(serialize_document(out_doc) + b"\n")
+    _write(out_path, serialize_document(out_doc) + b"\n")
     outcomes_path = Path(args.outcomes) if args.outcomes else out_path.with_suffix(
         ".outcomes.json"
     )
@@ -177,9 +188,7 @@ def cmd_order(args: argparse.Namespace) -> int:
             for o in outcomes
         ],
     }
-    outcomes_path.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    _write(outcomes_path, (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode())
     strategies = [o.strategy.value for o in outcomes]
     print(f"ordered {len(outcomes)} blocks -> {out_path}")
     for name in sorted(set(strategies)):
@@ -197,18 +206,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     if args.out:
-        Path(args.out).write_text(report_to_json(report) + "\n", encoding="utf-8")
+        _write(Path(args.out), (report_to_json(report) + "\n").encode())
     print(render_table(report))
     return EXIT_OK
 
 
+def _read_corpus(arg: str) -> str:
+    """The text of the file ``arg`` names, or ``arg`` itself if it names none."""
+    path = Path(arg)
+    try:
+        if not path.is_file():
+            return arg
+    except OSError:  # cannot be a path, e.g. too long for a file name
+        return arg
+    try:
+        corpus = path.read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read corpus file {arg}: {e}") from e
+    return corpus[:-1] if corpus.endswith("\n") else corpus
+
+
 def cmd_fuzzy(args: argparse.Namespace) -> int:
-    corpus = args.corpus
-    if Path(corpus).is_file():
-        corpus = Path(corpus).read_text("utf-8")
-        if corpus.endswith("\n"):
-            corpus = corpus[:-1]
-    match = best_fuzzy_substring(args.query, corpus)
+    match = best_fuzzy_substring(args.query, _read_corpus(args.corpus))
     print(
         json.dumps(
             {
@@ -237,10 +256,6 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (lowest precedence)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockspot",
@@ -257,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("--concurrency", type=int)
     order.add_argument("--out", required=True, help="output document path")
     order.add_argument("--outcomes", help="outcomes path (default: <out>.outcomes.json)")
-    _add_common_flags(order)
+    order.add_argument("--config", help="JSON config file (lowest precedence)")
     order.set_defaults(func=cmd_order)
 
     ev = sub.add_parser("eval", help="compare a prediction against ground truth")
@@ -265,19 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("gt")
     ev.add_argument("--min-iou", dest="min_iou", type=float)
     ev.add_argument("--out", help="write the full report as JSON")
-    _add_common_flags(ev)
+    ev.add_argument("--config", help="JSON config file (lowest precedence)")
     ev.set_defaults(func=cmd_eval)
 
     fz = sub.add_parser("fuzzy", help="best fuzzy substring match of QUERY in a corpus")
     fz.add_argument("query")
     fz.add_argument("corpus", help="corpus text, or a file to read it from")
-    _add_common_flags(fz)
     fz.set_defaults(func=cmd_fuzzy)
 
     pr = sub.add_parser("prompt", help="print the prompt a block would produce")
     pr.add_argument("input")
     pr.add_argument("block_index", type=int)
-    _add_common_flags(pr)
     pr.set_defaults(func=cmd_prompt)
 
     return parser
@@ -287,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as e:
+    except (DocumentError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except BackendConfigError as e:

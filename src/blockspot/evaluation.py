@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fuzzy import best_fuzzy_substring
-from .geometry import iou as quad_iou
-from .geometry import quad_bounds
+from .geometry import AlignedRect, quad_bounds
+# Bound as ``quad_iou`` because bench/tracer.py counts IoU calls through
+# this name and bench/test_bench.py patches it to inject a matching fault.
+from .geometry import rect_iou as quad_iou
 from .metrics import MetricVector, compute_metrics
-from .model import Block, Document, Quad
+from .model import Block, Document
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,11 @@ class EvalReport:
     min_iou: float
 
 
-def block_hull(doc: Document, block: Block) -> Quad:
-    """Axis-aligned rectangle covering every line of the block, as a quad."""
-    rects = [quad_bounds(doc.line_by_id(lid).box.vertices) for lid in block.line_ids]
-    x0 = min(r.x_min for r in rects)
-    y0 = min(r.y_min for r in rects)
-    x1 = max(r.x_max for r in rects)
-    y1 = max(r.y_max for r in rects)
-    return Quad.from_points([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+def block_hull(doc: Document, block: Block) -> AlignedRect:
+    """Axis-aligned rectangle covering every line of the block."""
+    return quad_bounds(
+        [p for lid in block.line_ids for p in doc.line_by_id(lid).box.vertices]
+    )
 
 
 def match_blocks(
@@ -69,10 +68,10 @@ def match_blocks(
     IoU is <= min_iou are dropped.  Equal IoUs resolve to the smallest
     ground-truth index.
     """
-    gt_hulls = [block_hull(gt, block).vertices for block in gt.blocks]
+    gt_hulls = [block_hull(gt, block) for block in gt.blocks]
     matches = []
     for p, block in enumerate(pred.blocks):
-        hull = block_hull(pred, block).vertices
+        hull = block_hull(pred, block)
         best_iou = 0.0
         best_g = -1
         for g, gt_hull in enumerate(gt_hulls):

@@ -1,9 +1,9 @@
 """Quadrilateral geometry for detected text lines.
 
 Covers the per-line preprocessing plan (rotation snapping, crop rectangles,
-aspect-preserving splits for the recognizer), exact IoU between convex
-quads, and the integer box translation used when boxes are emitted into
-prompts.
+aspect-preserving splits for the recognizer), closed-form IoU between
+axis-aligned rectangles, and the integer box translation used when boxes
+are emitted into prompts.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def polygon_area(vertices: Sequence[Point]) -> float:
 
 
 def quad_bounds(vertices: Sequence[Point]) -> AlignedRect:
-    """Axis-aligned bounding rectangle of a polygon."""
+    """Axis-aligned bounding rectangle of a set of points."""
     xs = [p[0] for p in vertices]
     ys = [p[1] for p in vertices]
     return AlignedRect(min(xs), min(ys), max(xs), max(ys))
@@ -156,56 +156,17 @@ def split_for_recognizer(rect: AlignedRect, spec: RecognizerSpec | None = None) 
     ]
 
 
-def _clip_left_of(subject: list[Point], a: Point, b: Point) -> list[Point]:
-    """Keep the part of ``subject`` on or left of the directed edge a->b."""
-    ax, ay = a
-    ex, ey = b[0] - ax, b[1] - ay
-    out: list[Point] = []
-    n = len(subject)
-    for i in range(n):
-        px, py = subject[i]
-        qx, qy = subject[(i + 1) % n]
-        p_side = ex * (py - ay) - ey * (px - ax)
-        q_side = ex * (qy - ay) - ey * (qx - ax)
-        if p_side >= 0.0:
-            out.append((px, py))
-        if (p_side < 0.0 < q_side) or (q_side < 0.0 < p_side):
-            t = p_side / (p_side - q_side)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
+def rect_iou(a: AlignedRect, b: AlignedRect) -> float:
+    """Intersection over union of two axis-aligned rectangles, in [0, 1].
 
-
-def _ccw(vertices: Sequence[Point]) -> list[Point]:
-    pts = list(vertices)
-    if polygon_area(pts) < 0:
-        pts.reverse()
-    return pts
-
-
-def convex_intersection_area(a: Sequence[Point], b: Sequence[Point]) -> float:
-    """Area of the intersection of two convex polygons (any winding).
-
-    Sutherland-Hodgman clipping: the subject is cut by each edge of the
-    (counter-clockwise) clipper, whose interior lies left of its edges.
+    Rectangles that only share an edge or a corner have IoU 0.0.
     """
-    poly = _ccw(a)
-    clipper = _ccw(b)
-    for i in range(len(clipper)):
-        poly = _clip_left_of(poly, clipper[i], clipper[(i + 1) % len(clipper)])
-        if len(poly) < 3:
-            return 0.0
-    return abs(polygon_area(poly))
-
-
-def iou(a: Sequence[Point], b: Sequence[Point]) -> float:
-    """Intersection over union of two convex quads, in [0, 1]."""
-    inter = convex_intersection_area(a, b)
-    if inter <= 0.0:
+    w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if w <= 0.0 or h <= 0.0:
         return 0.0
-    union = abs(polygon_area(a)) + abs(polygon_area(b)) - inter
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, inter / union)
+    inter = w * h
+    return inter / (a.width * a.height + b.width * b.height - inter)
 
 
 def round_half_away_from_zero(x: float) -> int:

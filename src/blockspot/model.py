@@ -145,7 +145,7 @@ class Document:
         return replace(self, blocks=tuple(blocks))
 
 
-def validate_document(doc: Document, *, source: str = "<memory>", margin: float = BOX_MARGIN_PX) -> None:
+def validate_document(doc: Document, *, source: str = "<memory>") -> None:
     """Check cross-object invariants; raises DocumentError on the first hit."""
     if doc.image_width <= 0 or doc.image_height <= 0:
         raise DocumentError(
@@ -159,13 +159,13 @@ def validate_document(doc: Document, *, source: str = "<memory>", margin: float 
         seen_ids.add(line.id)
         rect = quad_bounds(line.box.vertices)
         if (
-            rect.x_min < -margin
-            or rect.y_min < -margin
-            or rect.x_max > doc.image_width + margin
-            or rect.y_max > doc.image_height + margin
+            rect.x_min < -BOX_MARGIN_PX
+            or rect.y_min < -BOX_MARGIN_PX
+            or rect.x_max > doc.image_width + BOX_MARGIN_PX
+            or rect.y_max > doc.image_height + BOX_MARGIN_PX
         ):
             raise DocumentError(
-                f"line {line.id} box leaves the image by more than {margin}px",
+                f"line {line.id} box leaves the image by more than {BOX_MARGIN_PX}px",
                 source=source,
             )
     claimed: set[int] = set()
@@ -183,7 +183,6 @@ def parse_document(
     kind: DocumentKind | str = DocumentKind.PREDICTION,
     *,
     source: str = "<memory>",
-    margin: float = BOX_MARGIN_PX,
 ) -> Document:
     """Parse and validate a document from JSON bytes or text.
 
@@ -221,22 +220,17 @@ def parse_document(
         blocks=blocks,
         is_ground_truth=kind is DocumentKind.GROUND_TRUTH,
     )
-    validate_document(doc, source=source, margin=margin)
+    validate_document(doc, source=source)
     return doc
 
 
-def load_document(
-    path: str | Path,
-    kind: DocumentKind | str = DocumentKind.PREDICTION,
-    *,
-    margin: float = BOX_MARGIN_PX,
-) -> Document:
+def load_document(path: str | Path, kind: DocumentKind | str = DocumentKind.PREDICTION) -> Document:
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as e:
         raise DocumentError(f"cannot read file: {e}", source=str(path)) from e
-    return parse_document(raw, kind, source=str(path), margin=margin)
+    return parse_document(raw, kind, source=str(path))
 
 
 def serialize_document(doc: Document) -> bytes:

@@ -175,11 +175,15 @@ def block_key(block_index: int) -> str:
     return f"block-{block_index}"
 
 
-def build_block_prompt(doc: Document, block: Block) -> ChatPrompt:
-    """The exact prompt :func:`order_block` would send for this block."""
-    ordered, texts = _geometric_entries(doc, block)
+def _prompt_for(ordered: Sequence[Line], texts: Sequence[str]) -> ChatPrompt:
+    """Prompt for lines already in geometric order, boxes block-anchored."""
     boxes = translate_block_boxes([line.box.vertices for line in ordered])
     return build_prompt(BlockPromptInput(entries=tuple(zip(texts, boxes))))
+
+
+def build_block_prompt(doc: Document, block: Block) -> ChatPrompt:
+    """The exact prompt :func:`order_block` would send for this block."""
+    return _prompt_for(*_geometric_entries(doc, block))
 
 
 def order_block(
@@ -215,8 +219,7 @@ def order_block(
     if backend is None:
         return fallback(Strategy.GEOMETRIC_ONLY)
 
-    boxes = translate_block_boxes([line.box.vertices for line in ordered])
-    prompt = build_prompt(BlockPromptInput(entries=tuple(zip(texts, boxes))))
+    prompt = _prompt_for(ordered, texts)
     if not fits_context(prompt, config):
         return fallback(Strategy.GEOMETRIC_FALLBACK_CONTEXT)
 
@@ -242,7 +245,6 @@ def run(
     config: LlmConfig,
     *,
     concurrency: int = DEFAULT_CONCURRENCY,
-    include_ungrouped: bool = True,
 ) -> tuple[Document, list[OrderingOutcome]]:
     """Order every block; returns the texted document and per-block outcomes.
 
@@ -253,8 +255,7 @@ def run(
     output.
     """
     blocks = list(doc.blocks)
-    if include_ungrouped:
-        blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
+    blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
 
     def work(item: tuple[int, Block]) -> OrderingOutcome | Exception:
         index, block = item

@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import sign_doc, synthetic_gt
 from test_fuzzy import corrupt, exact_best, normal_string
-from test_geometry import raster_iou, rect_quad, rotated_rect_quad
+from test_geometry import convex_iou, raster_iou, rect_as_quad, rotated_rect_quad
 from test_metrics import jaro_winkler_reference, nld_reference, ro_reference
 
 from blockspot.cli import main
@@ -36,7 +36,8 @@ from blockspot.geo_order import geometric_order
 from blockspot.geometry import (
     AlignedRect,
     RecognizerSpec,
-    iou,
+    quad_bounds,
+    rect_iou,
     split_for_recognizer,
     translate_block_boxes,
 )
@@ -187,22 +188,24 @@ def criterion_6_self_evaluation():
 
 
 def criterion_7_geometry_suite():
-    """IoU laws, rasterization agreement, split tiling, translate min-zero."""
+    """Rectangle IoU laws and oracle agreement, split tiling, translate min-zero."""
     rng = random.Random(61)
 
+    # fractional rectangles: the bounds of randomly rotated boxes
     for _ in range(1000):
-        a = rotated_rect_quad(
+        a = quad_bounds(rotated_rect_quad(
             rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(2, 60), rng.uniform(2, 60),
             rng.uniform(-90, 90),
-        )
-        b = rotated_rect_quad(
+        ))
+        b = quad_bounds(rotated_rect_quad(
             rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(2, 60), rng.uniform(2, 60),
             rng.uniform(-90, 90),
-        )
-        ab, ba = iou(a, b), iou(b, a)
+        ))
+        ab = rect_iou(a, b)
         assert 0.0 <= ab <= 1.0
-        assert abs(ab - ba) <= 1e-9
-        assert abs(iou(a, a) - 1.0) <= 1e-12
+        assert ab == rect_iou(b, a)
+        assert rect_iou(a, a) == 1.0
+        assert abs(ab - convex_iou(rect_as_quad(a), rect_as_quad(b))) <= 1e-9
 
     for _ in range(200):
         def int_rect():
@@ -210,9 +213,7 @@ def criterion_7_geometry_suite():
             return AlignedRect(x0, y0, rng.randint(x0 + 1, 100), rng.randint(y0 + 1, 100))
 
         ra, rb = int_rect(), int_rect()
-        exact = iou(rect_quad(ra.x_min, ra.y_min, ra.x_max, ra.y_max),
-                    rect_quad(rb.x_min, rb.y_min, rb.x_max, rb.y_max))
-        assert abs(exact - raster_iou(ra, rb)) <= 0.01
+        assert abs(rect_iou(ra, rb) - raster_iou(ra, rb)) <= 0.01
 
     spec = RecognizerSpec()
     for _ in range(500):
@@ -236,7 +237,7 @@ def criterion_7_geometry_suite():
         assert min(r.x_min for r in out) == 0
         assert min(r.y_min for r in out) == 0
         assert all(r.x_min >= 0 and r.y_min >= 0 for r in out)
-    return "1000 IoU pairs, 200 raster checks, 500 splits, 500 translations"
+    return "1000 fractional IoU pairs vs clipping, 200 raster checks, 500 splits, 500 translations"
 
 
 def criterion_8_determinism():

@@ -157,6 +157,33 @@ class TestFuzzy:
         assert json.loads(capsys.readouterr().out)["substring"] == "REASONS"
 
 
+class TestBadPaths:
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [
+            (["fuzzy", "abc", "x" * 4997 + "abc"], 0),
+            (["fuzzy", "abc", "{tmp}/corpus.bin"], 2),
+            (["order", "{pred}", "--out", "{tmp}/missing_dir/x.json"], 2),
+            (["order", "{pred}", "--out", "{tmp}/o.json", "--outcomes", "{tmp}/missing_dir/o.json"], 2),
+            (["eval", "{gt}", "{gt}", "--out", "{tmp}/missing_dir/r.json"], 2),
+        ],
+        ids=["long-literal-corpus", "non-utf8-corpus", "order-out", "order-outcomes", "eval-out"],
+    )
+    def test_no_traceback(self, tmp_path, sign_fixture, capsys, argv, code):
+        pred_path, _ = sign_fixture
+        gt_path = tmp_path / "gt.json"
+        save_document(synthetic_gt(3), gt_path)
+        (tmp_path / "corpus.bin").write_bytes(b"abc \xff\xfe\x80")
+        argv = [a.format(tmp=tmp_path, pred=pred_path, gt=gt_path) for a in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["distance"] == 0
+        else:
+            assert captured.err.startswith("error: ")
+            assert not (tmp_path / "missing_dir").exists()
+
+
 class TestPrompt:
     def test_prompt_contains_texts_verbatim(self, tmp_path, sign_fixture, capsys):
         doc_path, _ = sign_fixture
@@ -208,6 +235,19 @@ class TestConfigPrecedence:
             == 0
         )
         assert json.loads(out2.read_text())["blocks"][0]["text"] == "20 REASONS TO LOVE CYCLING"
+
+    @pytest.mark.parametrize(
+        "command", [["prompt", "{doc}", "0"], ["fuzzy", "abc", "abc"]], ids=["prompt", "fuzzy"]
+    )
+    def test_config_rejected_where_unused(self, tmp_path, sign_fixture, capsys, command):
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"turbo": True}))
+        argv = [a.format(doc=doc_path) for a in command] + ["--config", str(config)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_3(self, tmp_path, sign_fixture):
         doc_path, _ = sign_fixture

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from conftest import make_line, sign_gt, synthetic_gt
+from test_geometry import convex_iou
 
 from blockspot.evaluation import (
     block_hull,
@@ -15,7 +17,7 @@ from blockspot.evaluation import (
     report_to_dict,
     report_to_json,
 )
-from blockspot.geometry import quad_bounds
+from blockspot.geometry import AlignedRect, quad_bounds
 from blockspot.model import Block, Document, validate_document
 
 
@@ -36,24 +38,69 @@ class TestBlockHull:
         doc = doc_with_blocks(
             [make_line(0, 10, 20, 110, 45, "x")], [Block(line_ids=(0,), text="x")]
         )
-        hull = block_hull(doc, doc.blocks[0])
-        assert quad_bounds(hull.vertices) == quad_bounds(((10, 20), (110, 20), (110, 45), (10, 45)))
+        assert block_hull(doc, doc.blocks[0]) == AlignedRect(10, 20, 110, 45)
 
     def test_two_stacked_lines_span(self):
         doc = doc_with_blocks(
             [make_line(0, 10, 10, 110, 30, "a"), make_line(1, 30, 60, 200, 85, "b")],
             [Block(line_ids=(0, 1), text="a b")],
         )
-        hull = quad_bounds(block_hull(doc, doc.blocks[0]).vertices)
-        assert (hull.x_min, hull.y_min, hull.x_max, hull.y_max) == (10, 10, 200, 85)
+        assert block_hull(doc, doc.blocks[0]) == AlignedRect(10, 10, 200, 85)
 
     def test_fractional_coordinates_stay_finite(self):
         doc = doc_with_blocks(
             [make_line(0, 10.25, 10.75, 110.5, 30.25, "a")],
             [Block(line_ids=(0,), text="a")],
         )
-        hull = block_hull(doc, doc.blocks[0])
-        assert len(hull.vertices) == 4
+        assert block_hull(doc, doc.blocks[0]) == AlignedRect(10.25, 10.75, 110.5, 30.25)
+
+
+def oracle_matches(pred, gt):
+    """Argmax matching with hulls built from raw vertices and convex-clipping
+    IoU; strict ``>`` keeps the smallest ground-truth index on ties."""
+
+    def hull(doc, block):
+        points = [p for line in doc.lines if line.id in block.line_ids for p in line.box.vertices]
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        return ((min(xs), min(ys)), (max(xs), min(ys)), (max(xs), max(ys)), (min(xs), max(ys)))
+
+    gt_hulls = [hull(gt, block) for block in gt.blocks]
+    matches = []
+    for p, block in enumerate(pred.blocks):
+        pred_hull = hull(pred, block)
+        best_iou, best_g = 0.0, -1
+        for g, gt_hull in enumerate(gt_hulls):
+            value = convex_iou(pred_hull, gt_hull)
+            if value > best_iou:
+                best_iou, best_g = value, g
+        if best_g >= 0:
+            matches.append((p, best_g, best_iou))
+    return matches
+
+
+def jittered_prediction(gt, rng):
+    """``gt`` shifted by (30, 30), each line moved by up to 30 px more and
+    resized by fractional amounts; about half the multi-line blocks are
+    split after their first line."""
+    lines = []
+    for line in gt.lines:
+        r = quad_bounds(line.box.vertices)
+        dx, dy = 30 + rng.uniform(-30, 30), 30 + rng.uniform(-30, 30)
+        lines.append(
+            make_line(
+                line.id, r.x_min + dx, r.y_min + dy,
+                r.x_max + dx + rng.uniform(-20, 20), r.y_max + dy + rng.uniform(-5, 5),
+                line.text,
+            )
+        )
+    blocks = []
+    for block in gt.blocks:
+        if len(block.line_ids) > 1 and rng.random() < 0.5:
+            blocks.append(Block(line_ids=block.line_ids[:1], text="x"))
+            blocks.append(Block(line_ids=block.line_ids[1:], text="x"))
+        else:
+            blocks.append(Block(line_ids=block.line_ids, text="x"))
+    return doc_with_blocks(lines, blocks, width=gt.image_width + 60, height=gt.image_height + 60)
 
 
 class TestMatchBlocks:
@@ -106,6 +153,34 @@ class TestMatchBlocks:
         )
         matches = match_blocks(pred, gt)
         assert [(p, g) for p, g, _ in matches] == [(0, 0), (1, 0)]
+
+    def test_equal_iou_goes_to_lowest_gt_index(self):
+        # gt blocks 1 and 2 have identical hulls and beat block 0
+        gt = doc_with_blocks(
+            [
+                make_line(0, 0, 0, 100, 40, "far"),
+                make_line(1, 0, 100, 100, 140, "twin"),
+                make_line(2, 0, 100, 100, 140, "twin"),
+            ],
+            [Block(line_ids=(i,), text=t) for i, t in enumerate(("far", "twin", "twin"))],
+            gt=True,
+        )
+        pred = doc_with_blocks(
+            [make_line(0, 0, 30, 100, 130, "p")], [Block(line_ids=(0,), text="p")]
+        )
+        matches = match_blocks(pred, gt)
+        assert [(p, g) for p, g, _ in matches] == [(0, 1)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_pairs_as_convex_clipping_matcher(self, seed):
+        rng = random.Random(seed)
+        gt = synthetic_gt(rng.randint(10, 40))
+        pred = jittered_prediction(gt, rng)
+        got = match_blocks(pred, gt)
+        want = oracle_matches(pred, gt)
+        assert [(p, g) for p, g, _ in got] == [(p, g) for p, g, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert abs(a - b) <= 1e-9
 
 
 class TestEvaluate:

@@ -1,26 +1,30 @@
 """Geometry tests: rotation snapping, crops, splits, IoU, box translation.
 
-The IoU oracle rasterizes both rectangles onto a pixel grid and counts
-cells, which shares no code with the polygon-clipping implementation.
+``rect_iou`` has two oracles that share no code with it: convex-polygon
+clipping (Sutherland-Hodgman, valid for any convex quads) and a raster
+count of integer rectangles on a pixel grid.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspot.geometry import (
     AlignedRect,
     GeometryError,
+    Point,
     RecognizerSpec,
-    convex_intersection_area,
     crop_rect,
-    iou,
     polygon_area,
     quad_bounds,
+    rect_iou,
     rotate_point,
     round_half_away_from_zero,
     snap_rotation,
@@ -38,6 +42,63 @@ def rotated_rect_quad(cx, cy, w, h, angle_degrees):
     return tuple(
         (cx + px, cy + py) for px, py in (rotate_point(p, angle_degrees) for p in half)
     )
+
+
+def _clip_left_of(subject: list[Point], a: Point, b: Point) -> list[Point]:
+    """Keep the part of ``subject`` on or left of the directed edge a->b."""
+    ax, ay = a
+    ex, ey = b[0] - ax, b[1] - ay
+    out: list[Point] = []
+    n = len(subject)
+    for i in range(n):
+        px, py = subject[i]
+        qx, qy = subject[(i + 1) % n]
+        p_side = ex * (py - ay) - ey * (px - ax)
+        q_side = ex * (qy - ay) - ey * (qx - ax)
+        if p_side >= 0.0:
+            out.append((px, py))
+        if (p_side < 0.0 < q_side) or (q_side < 0.0 < p_side):
+            t = p_side / (p_side - q_side)
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+    return out
+
+
+def _ccw(vertices: Sequence[Point]) -> list[Point]:
+    pts = list(vertices)
+    if polygon_area(pts) < 0:
+        pts.reverse()
+    return pts
+
+
+def convex_intersection_area(a: Sequence[Point], b: Sequence[Point]) -> float:
+    """Area of the intersection of two convex polygons (any winding).
+
+    Sutherland-Hodgman clipping: the subject is cut by each edge of the
+    (counter-clockwise) clipper, whose interior lies left of its edges.
+    """
+    poly = _ccw(a)
+    clipper = _ccw(b)
+    for i in range(len(clipper)):
+        poly = _clip_left_of(poly, clipper[i], clipper[(i + 1) % len(clipper)])
+        if len(poly) < 3:
+            return 0.0
+    return abs(polygon_area(poly))
+
+
+def convex_iou(a: Sequence[Point], b: Sequence[Point]) -> float:
+    """Intersection over union of two convex quads, in [0, 1]."""
+    inter = convex_intersection_area(a, b)
+    if inter <= 0.0:
+        return 0.0
+    union = abs(polygon_area(a)) + abs(polygon_area(b)) - inter
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, inter / union)
+
+
+def rect_as_quad(r: AlignedRect, origin: Point = (0.0, 0.0)):
+    ox, oy = origin
+    return rect_quad(r.x_min - ox, r.y_min - oy, r.x_max - ox, r.y_max - oy)
 
 
 def raster_iou(a: AlignedRect, b: AlignedRect, size: int = 128) -> float:
@@ -147,27 +208,33 @@ class TestSplit:
 
 
 class TestIoU:
+    """The convex-clipping oracle, and ``rect_iou`` where both apply."""
+
     def test_identical(self):
         q = rect_quad(10, 10, 50, 30)
-        assert iou(q, q) == pytest.approx(1.0, abs=1e-12)
+        assert convex_iou(q, q) == pytest.approx(1.0, abs=1e-12)
+        assert rect_iou(AlignedRect(10, 10, 50, 30), AlignedRect(10, 10, 50, 30)) == 1.0
 
     def test_disjoint(self):
-        assert iou(rect_quad(0, 0, 10, 10), rect_quad(20, 20, 30, 30)) == 0.0
+        assert convex_iou(rect_quad(0, 0, 10, 10), rect_quad(20, 20, 30, 30)) == 0.0
+        assert rect_iou(AlignedRect(0, 0, 10, 10), AlignedRect(20, 20, 30, 30)) == 0.0
 
     def test_hand_computed_overlap(self):
         # 2x2 squares overlapping in a 1x1 corner: 1 / (4 + 4 - 1)
         a = rect_quad(0, 0, 2, 2)
         b = rect_quad(1, 1, 3, 3)
-        assert iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
+        assert convex_iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
+        assert rect_iou(AlignedRect(0, 0, 2, 2), AlignedRect(1, 1, 3, 3)) == pytest.approx(1 / 7, abs=1e-12)
 
     def test_symmetry_and_bounds_random_quads(self):
         rng = random.Random(23)
         for _ in range(500):
             a = rotated_rect_quad(rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(2, 60), rng.uniform(2, 60), rng.uniform(-90, 90))
             b = rotated_rect_quad(rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(2, 60), rng.uniform(2, 60), rng.uniform(-90, 90))
-            ab = iou(a, b)
+            ab = convex_iou(a, b)
             assert 0.0 <= ab <= 1.0
-            assert ab == pytest.approx(iou(b, a), abs=1e-9)
+            assert ab == pytest.approx(convex_iou(b, a), abs=1e-9)
+            assert convex_iou(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_rasterization_oracle(self):
         rng = random.Random(29)
@@ -178,9 +245,8 @@ class TestIoU:
                 return AlignedRect(x0, y0, rng.randint(x0 + 1, 100), rng.randint(y0 + 1, 100))
 
             ra, rb = int_rect(), int_rect()
-            a = rect_quad(ra.x_min, ra.y_min, ra.x_max, ra.y_max)
-            b = rect_quad(rb.x_min, rb.y_min, rb.x_max, rb.y_max)
-            assert iou(a, b) == pytest.approx(raster_iou(ra, rb), abs=0.01)
+            assert convex_iou(rect_as_quad(ra), rect_as_quad(rb)) == pytest.approx(raster_iou(ra, rb), abs=0.01)
+            assert rect_iou(ra, rb) == pytest.approx(raster_iou(ra, rb), abs=0.01)
 
     def test_rotated_overlap_against_area_identity(self):
         # intersection of a square and its 45-degree rotation about the
@@ -189,6 +255,62 @@ class TestIoU:
         b = rotated_rect_quad(0, 0, 2, 2, 45)
         inter = convex_intersection_area(a, b)
         assert inter == pytest.approx(8 * (math.sqrt(2) - 1), abs=1e-9)
+
+
+_coords = st.floats(min_value=-500, max_value=500, allow_nan=False, allow_infinity=False)
+_sizes = st.floats(min_value=0.01, max_value=500, allow_nan=False, allow_infinity=False)
+_fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def rect_pairs(draw):
+    """A fractional rectangle and a second one that is random, identical,
+    contained, edge-touching (IoU 0) or disjoint."""
+    x0, y0 = draw(_coords), draw(_coords)
+    a = AlignedRect(x0, y0, x0 + draw(_sizes), y0 + draw(_sizes))
+    kind = draw(st.sampled_from(["random", "identical", "contained", "touching", "disjoint"]))
+    if kind == "identical":
+        return a, AlignedRect(a.x_min, a.y_min, a.x_max, a.y_max), kind
+    if kind == "contained":
+        lo_x, lo_y = (draw(_fractions) * 0.4 for _ in range(2))
+        hi_x, hi_y = (0.6 + draw(_fractions) * 0.4 for _ in range(2))
+        b = AlignedRect(
+            a.x_min + lo_x * a.width, a.y_min + lo_y * a.height,
+            a.x_min + hi_x * a.width, a.y_min + hi_y * a.height,
+        )
+        return a, b, kind
+    if kind == "touching":
+        # shares a's right edge; its vertical extent overlaps a's or not
+        y = draw(_coords)
+        return a, AlignedRect(a.x_max, y, a.x_max + draw(_sizes), y + draw(_sizes)), kind
+    x, y = draw(_coords), draw(_coords)
+    if kind == "disjoint":
+        x = a.x_max + 1.0 + abs(x)
+    return a, AlignedRect(x, y, x + draw(_sizes), y + draw(_sizes)), kind
+
+
+class TestRectIoU:
+    @settings(max_examples=500, deadline=None)
+    @given(rect_pairs())
+    def test_matches_convex_clipping_oracle(self, pair):
+        a, b, kind = pair
+        ab = rect_iou(a, b)
+        assert ab == rect_iou(b, a)
+        assert 0.0 <= ab <= 1.0
+        # The shoelace sums in clipping lose area in proportion to the squared
+        # distance from the origin, enough to miss 1e-9 for a tiny rectangle
+        # far from it; IoU is translation-invariant, so clip near a.
+        origin = (a.x_min, a.y_min)
+        assert abs(ab - convex_iou(rect_as_quad(a, origin), rect_as_quad(b, origin))) <= 1e-9
+        if kind == "identical":
+            assert ab == 1.0
+        elif kind == "contained":
+            assert ab == pytest.approx(b.width * b.height / (a.width * a.height), rel=1e-9)
+        elif kind in ("touching", "disjoint"):
+            assert ab == 0.0
+
+    def test_corner_touching_is_zero(self):
+        assert rect_iou(AlignedRect(0, 0, 1.5, 2.5), AlignedRect(1.5, 2.5, 4, 4)) == 0.0
 
 
 class TestTranslateBlockBoxes:

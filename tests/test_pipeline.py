@@ -16,6 +16,7 @@ from blockspot.pipeline import (
     Strategy,
     assemble_line_text,
     block_key,
+    build_block_prompt,
     order_block,
     plan_recognition,
     recognize_document,
@@ -33,9 +34,11 @@ class CountingBackend(ScriptedBackend):
     def __init__(self, replies):
         super().__init__(replies)
         self.keys_seen = []
+        self.prompts_seen = []
 
     def send(self, prompt, cfg, key):
         self.keys_seen.append(key)
+        self.prompts_seen.append(prompt)
         return super().send(prompt, cfg, key)
 
 
@@ -135,6 +138,11 @@ class TestOrderBlock:
         assert outcome.expected_len == 26
         assert outcome.llm_len == 26
 
+    def test_sends_the_prompt_build_block_prompt_shows(self, figure_doc):
+        backend = CountingBackend({"block-0": "20 REASONS TO LOVE CYCLING"})
+        order_block(figure_doc, figure_doc.blocks[0], backend, config(), 0)
+        assert backend.prompts_seen == [build_block_prompt(figure_doc, figure_doc.blocks[0])]
+
     def test_short_reply_falls_back_to_geometry(self, figure_doc):
         backend = ScriptedBackend({"block-0": "20 REASONS T"})  # 12 chars
         outcome = order_block(figure_doc, figure_doc.blocks[0], backend, config(), 0)
@@ -208,11 +216,6 @@ class TestRun:
         assert out.blocks[2].text == "loner"
         assert outcomes[0].strategy is Strategy.LLM
         assert outcomes[2].strategy is Strategy.SINGLE_LINE
-
-    def test_ungrouped_exclusion_flag(self):
-        doc = self.make_doc()
-        out, outcomes = run(doc, None, config(), include_ungrouped=False)
-        assert len(out.blocks) == 2
 
     def test_empty_document_unchanged(self):
         doc = Document(image_width=10, image_height=10)
