@@ -2,8 +2,10 @@
 
 A predicted block string usually covers only part of a ground-truth block,
 so evaluation needs the corpus substring closest to the prediction in edit
-distance. The search is exact: one semi-global alignment pass scores every
-substring at once, in time proportional to len(query) * len(corpus).
+distance. The search is exact and bit-parallel (Myers 1999): one column of
+the edit DP lives in the bits of a single integer, so a pass over the
+reversed corpus scores every substring start at once, one step per corpus
+character, and a short anchored pass from the best start finds its end.
 """
 
 import random
@@ -32,5 +34,5 @@ elapsed = time.perf_counter() - t0
 print("\nnoisy 30-char query against a 5000-char corpus:")
 print("  excerpt taken from [2200:2230]")
 print(f"  best match at [{match.start}:{match.end}], distance {match.distance} ({elapsed*1000:.1f} ms)")
-print(f"  {len(noisy) * len(big_corpus)} DP cells cover all "
+print(f"  {len(big_corpus)} steps on {len(noisy)}-bit vectors cover all "
       f"{len(big_corpus) * (len(big_corpus) + 1) // 2} substrings")

@@ -17,7 +17,8 @@ names and whose values must have the setting's type.  Every report embeds
 the effective configuration so runs can be reproduced.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an output
-path that cannot be written), 3 backend configuration errors.
+path that cannot be written), 3 backend configuration errors and rejected
+credentials (HTTP 401/403).  A run that fails leaves no output file.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .evaluation import evaluate, render_table, report_to_json
 from .fuzzy import best_fuzzy_substring
 from .llm import (
     HttpBackend,
+    LlmAuthError,
     LlmBackend,
     LlmConfig,
     LlmRequestError,
@@ -167,14 +169,16 @@ def cmd_order(args: argparse.Namespace) -> int:
     config = _llm_config(settings)
     backend = _make_backend(settings, config)
     doc = load_document(args.input, DocumentKind.PREDICTION)
-
-    out_doc, outcomes = run(doc, backend, config, concurrency=settings.concurrency)
-
     out_path = Path(args.out)
-    _write(out_path, serialize_document(out_doc) + b"\n")
     outcomes_path = Path(args.outcomes) if args.outcomes else out_path.with_suffix(
         ".outcomes.json"
     )
+    for path in (out_path, outcomes_path):
+        if not path.parent.is_dir():
+            raise InputError(f"cannot write output {path}: no directory {path.parent}")
+
+    out_doc, outcomes = run(doc, backend, config, concurrency=settings.concurrency)
+
     payload = {
         "config": settings.echo(),
         "outcomes": [
@@ -188,7 +192,12 @@ def cmd_order(args: argparse.Namespace) -> int:
             for o in outcomes
         ],
     }
-    _write(outcomes_path, (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode())
+    _write(out_path, serialize_document(out_doc) + b"\n")
+    try:
+        _write(outcomes_path, (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode())
+    except InputError:
+        out_path.unlink()
+        raise
     strategies = [o.strategy.value for o in outcomes]
     print(f"ordered {len(outcomes)} blocks -> {out_path}")
     for name in sorted(set(strategies)):
@@ -303,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except BackendConfigError as e:
+    except (BackendConfigError, LlmAuthError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -2,10 +2,12 @@
 
 The best fuzzy substring match of ``query`` in ``corpus`` is the substring
 of ``corpus`` with the lowest Levenshtein distance to ``query``.
-:func:`best_fuzzy_substring` finds it exactly with a semi-global alignment
-(free start/end gaps on the corpus side, Sellers 1980), which yields the
-same result as literally enumerating all substrings while staying
-O(len(query) * len(corpus)).
+:func:`best_fuzzy_substring` finds it exactly with the bit-parallel edit DP
+of Myers (1999): a search pass over the reversed strings gives the best
+distance for every start, and one anchored pass (Hyyrö 2003) from the
+smallest winning start gives the shortest winning end.  The result is the
+same as literally enumerating all substrings, in O(len(corpus)) big-integer
+steps per pass.
 """
 
 from __future__ import annotations
@@ -27,31 +29,53 @@ class MatchResult:
     distance: int
 
 
+def _edit_row(pattern: str, text: str, free_start: bool) -> list[int]:
+    """Last row of the pattern-vs-text edit DP, one column per text prefix.
+
+    Entry j is the distance between all of ``pattern`` and ``text[:j]``;
+    with ``free_start`` the top row costs nothing, so entry j is the best
+    distance to any suffix of ``text[:j]``.  Column deltas are kept as
+    bit-vectors (bit i for pattern row i+1): ``pv``/``mv`` mark vertical
+    +1/-1 steps, ``ph``/``mh`` horizontal ones, and the last row's value
+    follows the high bit.
+    """
+    m = len(pattern)
+    if not m:
+        return [0] * (len(text) + 1) if free_start else list(range(len(text) + 1))
+    peq: dict[str, int] = {}
+    for i, c in enumerate(pattern):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    carry = 0 if free_start else 1  # horizontal step of the top row
+    pv, mv, score = mask, 0, m
+    row = [m]
+    append = row.append
+    get = peq.get
+    for c in text:
+        x = get(c, 0) | mv
+        d0 = (((x & pv) + pv) ^ pv) | x
+        ph = mv | ~(d0 | pv)
+        mh = d0 & pv
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | carry
+        mh <<= 1
+        pv = (mh | ~(d0 | ph)) & mask
+        mv = ph & d0 & mask
+        append(score)
+    return row
+
+
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance (insert/delete/substitute) over code points."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):  # fewer rows, cheaper inner lists
+    if len(a) > len(b):  # the shorter string is the bit-vector pattern
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        for j, cb in enumerate(b, 1):
-            best = prev[j - 1] + (ca != cb)
-            dele = prev[j] + 1
-            if dele < best:
-                best = dele
-            ins = cur[j - 1] + 1
-            if ins < best:
-                best = ins
-            append(best)
-        prev = cur
-    return prev[-1]
+    return _edit_row(a, b, free_start=False)[-1]
 
 
 def best_fuzzy_substring(query: str, corpus: str) -> MatchResult:
@@ -60,47 +84,11 @@ def best_fuzzy_substring(query: str, corpus: str) -> MatchResult:
     Ties are broken by smaller start index, then shorter substring.  An
     empty query matches the empty substring at position 0 with distance 0.
     """
-    if not query:
-        return MatchResult("", 0, 0, 0)
-    if not corpus:
-        return MatchResult("", 0, 0, len(query))
-
-    m, n = len(query), len(corpus)
-    # Semi-global DP: dist[j] = min edit distance between query[:i] and any
-    # corpus[k:j]; start[j] tracks the smallest k achieving it.  Free first
-    # row (any start), answer read from the last row (any end).
-    dist = [0] * (n + 1)
-    start = list(range(n + 1))
-    for i in range(1, m + 1):
-        qc = query[i - 1]
-        prev_diag_d = dist[0]
-        prev_diag_s = start[0]
-        dist[0] = i
-        # start[0] stays 0: aligning query[:i] against corpus[0:0]
-        for j in range(1, n + 1):
-            sub_d = prev_diag_d + (qc != corpus[j - 1])
-            sub_s = prev_diag_s
-            prev_diag_d = dist[j]
-            prev_diag_s = start[j]
-            best_d = sub_d
-            best_s = sub_s
-            del_d = prev_diag_d + 1  # skip query char
-            if del_d < best_d or (del_d == best_d and prev_diag_s < best_s):
-                best_d = del_d
-                best_s = prev_diag_s
-            ins_d = dist[j - 1] + 1  # consume corpus char
-            if ins_d < best_d or (ins_d == best_d and start[j - 1] < best_s):
-                best_d = ins_d
-                best_s = start[j - 1]
-            dist[j] = best_d
-            start[j] = best_s
-
-    best_end = 0
-    best_key = (dist[0], 0, 0)
-    for j in range(1, n + 1):
-        key = (dist[j], start[j], j - start[j])
-        if key < best_key:
-            best_key = key
-            best_end = j
-    s = start[best_end]
-    return MatchResult(corpus[s:best_end], s, best_end, dist[best_end])
+    # by_start[s]: best distance between query and any corpus[s:e]
+    by_start = _edit_row(query[::-1], corpus[::-1], free_start=True)[::-1]
+    distance = min(by_start)
+    start = by_start.index(distance)
+    # a substring within `distance` edits is at most len(query) + distance long
+    window = corpus[start : start + len(query) + distance]
+    end = start + _edit_row(query, window, free_start=False).index(distance)
+    return MatchResult(corpus[start:end], start, end, distance)

@@ -7,12 +7,13 @@ Three classic measures over unicode code points:
 * Jaro-Winkler similarity (canonical parameters: prefix scale 0.1, prefix
   length capped at 4; the prefix boost is always applied),
 * Ratcliff-Obershelp similarity (gestalt pattern matching: recursive
-  leftmost-longest common substring decomposition).
+  leftmost-longest common substring decomposition, via ``difflib``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from difflib import SequenceMatcher
 
 from .fuzzy import levenshtein
 
@@ -102,51 +103,11 @@ def jaro_winkler(a: str, b: str) -> float:
     return sim + prefix * _WINKLER_PREFIX_SCALE * (1.0 - sim)
 
 
-def _longest_common_substring(
-    a: str, a_lo: int, a_hi: int, b: str, b_lo: int, b_hi: int
-) -> tuple[int, int, int]:
-    """Leftmost-longest common substring of a[a_lo:a_hi] and b[b_lo:b_hi].
-
-    Returns (start_in_a, start_in_b, length); ties go to the smallest
-    start in ``a``, then the smallest start in ``b``.
-    """
-    best_i, best_j, best_len = a_lo, b_lo, 0
-    # row[j] = length of common suffix of a[..i] and b[..j]
-    row = [0] * (b_hi - b_lo + 1)
-    for i in range(a_lo, a_hi):
-        prev_diag = 0
-        ca = a[i]
-        for j in range(b_lo, b_hi):
-            cur = row[j - b_lo + 1]
-            if ca == b[j]:
-                length = prev_diag + 1
-                row[j - b_lo + 1] = length
-                if length > best_len:
-                    best_len = length
-                    best_i = i - length + 1
-                    best_j = j - length + 1
-            else:
-                row[j - b_lo + 1] = 0
-            prev_diag = cur
-    return best_i, best_j, best_len
-
-
 def ratcliff_obershelp(a: str, b: str) -> float:
-    """Gestalt similarity 2M/T; 1.0 when both strings are empty."""
-    total = len(a) + len(b)
-    if total == 0:
-        return 1.0
+    """Gestalt similarity 2M/T; 1.0 when both strings are empty.
 
-    matched = 0
-    stack = [(0, len(a), 0, len(b))]
-    while stack:
-        a_lo, a_hi, b_lo, b_hi = stack.pop()
-        if a_lo >= a_hi or b_lo >= b_hi:
-            continue
-        i, j, length = _longest_common_substring(a, a_lo, a_hi, b, b_lo, b_hi)
-        if length == 0:
-            continue
-        matched += length
-        stack.append((a_lo, i, b_lo, j))
-        stack.append((i + length, a_hi, j + length, b_hi))
-    return 2.0 * matched / total
+    ``difflib`` takes the longest common substring, ties to the earliest
+    start in ``a`` and then in ``b``, and recurses on both sides; with no
+    junk and ``autojunk=False`` that is exactly Ratcliff-Obershelp.
+    """
+    return SequenceMatcher(None, a, b, autojunk=False).ratio()

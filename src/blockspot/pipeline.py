@@ -31,7 +31,7 @@ from .geometry import (
     split_for_recognizer,
     translate_block_boxes,
 )
-from .llm import LlmBackend, LlmConfig, LlmError, complete, fits_context
+from .llm import LlmAuthError, LlmBackend, LlmConfig, LlmError, complete, fits_context
 from .model import Block, Document, Line
 from .prompting import (
     BlockPromptInput,
@@ -193,7 +193,12 @@ def order_block(
     config: LlmConfig,
     block_index: int = 0,
 ) -> OrderingOutcome:
-    """Produce the text for one block; never raises on backend failure."""
+    """Produce the text for one block.
+
+    Backend failures degrade the block to the geometric order, except
+    :class:`LlmAuthError`, which no other block could escape either and
+    therefore propagates.
+    """
     if len(block.line_ids) == 1:
         line = doc.line_by_id(block.line_ids[0])
         return OrderingOutcome(
@@ -225,6 +230,8 @@ def order_block(
 
     try:
         reply = complete(backend, prompt, config, key=block_key(block_index))
+    except LlmAuthError:
+        raise
     except LlmError:
         return fallback(Strategy.GEOMETRIC_FALLBACK_ERROR)
 
@@ -252,7 +259,9 @@ def run(
     order) so the output covers every detected line.  Blocks are processed
     independently, up to ``concurrency`` at a time, and results are merged
     back in block order, so a deterministic backend gives a deterministic
-    output.
+    output.  An :class:`LlmAuthError` from any block is re-raised as is;
+    other exceptions are invariant violations, gathered into one
+    :class:`PipelineError`.
     """
     blocks = list(doc.blocks)
     blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
@@ -261,7 +270,7 @@ def run(
         index, block = item
         try:
             return order_block(doc, block, backend, config, block_index=index)
-        except Exception as e:  # backend failures never raise; these are bugs
+        except Exception as e:  # auth failures and bugs; reported after the merge
             return e
 
     items = list(enumerate(blocks))
@@ -272,6 +281,9 @@ def run(
         results = [work(item) for item in items]
 
     failures = [(i, r) for (i, _), r in zip(items, results) if isinstance(r, Exception)]
+    for _, e in failures:
+        if isinstance(e, LlmAuthError):
+            raise e
     if failures:
         raise PipelineError(
             "; ".join(f"block {i}: {e}" for i, e in failures)

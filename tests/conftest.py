@@ -1,6 +1,11 @@
-"""Shared fixture builders: sign-photo document, ground truth, synthetic docs."""
+"""Shared fixture builders: sign-photo document, ground truth, synthetic docs,
+and a loopback chat-completions stub server."""
 
 from __future__ import annotations
+
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -84,3 +89,40 @@ def figure_doc() -> Document:
 @pytest.fixture
 def figure_gt() -> Document:
     return sign_gt()
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    script: list[tuple[int, dict]] = []
+    requests_seen: list[dict] = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        type(self).requests_seen.append(
+            {"body": body, "auth": self.headers.get("Authorization")}
+        )
+        status, payload = self.script.pop(0) if self.script else (200, ok_reply("fallback"))
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def ok_reply(text, finish="stop"):
+    return {"choices": [{"message": {"content": text}, "finish_reason": finish}]}
+
+
+@pytest.fixture
+def stub_server():
+    server = HTTPServer(("127.0.0.1", 0), StubHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    StubHandler.script = []
+    StubHandler.requests_seen = []
+    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    server.shutdown()
+    server.server_close()

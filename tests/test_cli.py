@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import sign_doc, sign_gt, synthetic_gt
+from conftest import StubHandler, sign_doc, sign_gt, synthetic_gt
 
 from blockspot.cli import main
 from blockspot.model import save_document
@@ -67,6 +67,22 @@ class TestOrder:
         doc_path, _ = sign_fixture
         code = main(["order", str(doc_path), "--backend", "http", "--out", str(tmp_path / "o.json")])
         assert code == 3
+
+    def test_rejected_credentials_exit_3_without_output(
+        self, tmp_path, sign_fixture, stub_server, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("BLOCKSPOT_API_KEY", "revoked-key")
+        StubHandler.script = [(401, {"error": "invalid api key"})]
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"endpoint_url": stub_server}))
+        out = tmp_path / "out" / "o.json"
+        out.parent.mkdir()
+        argv = ["order", str(doc_path), "--backend", "http", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: authentication rejected (HTTP 401)\n"
+        assert len(StubHandler.requests_seen) == 1
+        assert list(out.parent.iterdir()) == []
 
     def test_deterministic_across_runs(self, tmp_path, sign_fixture):
         doc_path, replies = sign_fixture
@@ -182,6 +198,17 @@ class TestBadPaths:
         else:
             assert captured.err.startswith("error: ")
             assert not (tmp_path / "missing_dir").exists()
+
+    @pytest.mark.parametrize(
+        "outcomes", ["{tmp}/missing_dir/o.json", "{tmp}"], ids=["no-parent", "is-a-directory"]
+    )
+    def test_failed_outcomes_write_leaves_no_output(self, tmp_path, sign_fixture, capsys, outcomes):
+        pred_path, _ = sign_fixture
+        out = tmp_path / "o.json"
+        argv = ["order", str(pred_path), "--out", str(out), "--outcomes", outcomes.format(tmp=tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestPrompt:

@@ -3,8 +3,10 @@
 Two references independent of ``blockspot.fuzzy``'s search are the ground
 truth here: ``enumerate_best`` literally scores every substring, and
 ``exact_best`` derives the same answer from a reversed semi-global pass
-plus one anchored row, fast enough for long corpora.
-``best_fuzzy_substring`` must match them exactly, tie-break included.
+plus one anchored row of the plain DP, fast enough for long corpora.
+``best_fuzzy_substring`` runs the same two passes bit-parallel and must
+match them exactly, tie-break included; ``levenshtein`` must equal the
+plain DP's anchored row.
 """
 
 from __future__ import annotations
@@ -133,6 +135,18 @@ class TestLevenshtein:
             b = normal_string(rng, rng.randint(0, 12))
             assert levenshtein(a, b) == levenshtein_recursive(a, b)
 
+    def test_beyond_one_machine_word(self):
+        rng = random.Random(44)
+        alphabets = (NORMAL_ALPHABET, "ab", "e\u0301\U0001d11e\U0001f600 x")
+        for _ in range(60):
+            alphabet = rng.choice(alphabets)
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 300)))
+            if rng.random() < 0.5:
+                b = corrupt(rng, a, rng.uniform(0, 0.4))
+            else:
+                b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 300)))
+            assert levenshtein(a, b) == _edit_row(a, b, free_start=False)[-1], (a, b)
+
     @given(st.text(max_size=30), st.text(max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_symmetry(self, a, b):
@@ -223,6 +237,27 @@ class TestTwoStage:
             assert corpus[res.start : res.end] == res.substring
             assert levenshtein(query, res.substring) == res.distance
             assert res == exact_best(query, corpus), (query, corpus)
+
+    def test_long_queries_match_oracle(self):
+        """Queries of 60-300 code points span several 64-bit words."""
+        rng = random.Random(45)
+        astral = "e\u0301\U0001d11e\U0001f600 \u0308a"
+        for trial in range(40):
+            m = rng.randint(60, 300)
+            if trial % 4 == 0:  # query longer than the corpus
+                corpus = normal_string(rng, rng.randint(0, m - 1))
+                query = normal_string(rng, m)
+            elif trial % 4 == 1:  # astral and combining code points
+                corpus = "".join(rng.choice(astral) for _ in range(rng.randint(m, 3 * m)))
+                lo = rng.randint(0, len(corpus) - m)
+                query = "".join(
+                    c if rng.random() > 0.2 else rng.choice(astral) for c in corpus[lo : lo + m]
+                )
+            else:  # a noisy excerpt planted in a longer corpus
+                corpus = normal_string(rng, rng.randint(m, 4 * m))
+                lo = rng.randint(0, len(corpus) - m)
+                query = corrupt(rng, corpus[lo : lo + m], rng.uniform(0, 0.3)) or "q"
+            assert best_fuzzy_substring(query, corpus) == exact_best(query, corpus), trial
 
     @given(st.text(alphabet=NORMAL_ALPHABET, max_size=60), st.text(alphabet=NORMAL_ALPHABET, min_size=1, max_size=15))
     @settings(max_examples=150, deadline=None)

@@ -1,17 +1,16 @@
 """Backend, retry, and token-budget tests.
 
-HTTP behaviour is exercised against a local stub server so the retry and
-error-classification paths run over a real socket without leaving the
-machine.
+HTTP behaviour is exercised against the loopback stub server in
+``conftest`` so the retry and error-classification paths run over a real
+socket without leaving the machine.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from conftest import StubHandler, ok_reply
 
 from blockspot.llm import (
     FinishReason,
@@ -196,42 +195,6 @@ class TestReplay:
             ReplayBackend(transcript)
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    script: list[tuple[int, dict]] = []
-    requests_seen: list[dict] = []
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).requests_seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
-        status, payload = self.script.pop(0) if self.script else (200, _ok("fallback"))
-        data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-def _ok(text, finish="stop"):
-    return {"choices": [{"message": {"content": text}, "finish_reason": finish}]}
-
-
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _StubHandler.script = []
-    _StubHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-
-
 class TestHttpBackend:
     def test_missing_api_key_fails_without_network(self):
         backend = HttpBackend()
@@ -240,11 +203,11 @@ class TestHttpBackend:
             complete(backend, PROMPT, cfg, key="k")
 
     def test_success_and_payload_shape(self, stub_server):
-        _StubHandler.script = [(200, _ok("the answer"))]
+        StubHandler.script = [(200, ok_reply("the answer"))]
         cfg = config(endpoint_url=stub_server, model_name="test-model", temperature=0.0)
         reply = complete(HttpBackend(), PROMPT, cfg, key="k")
         assert reply.text == "the answer"
-        seen = _StubHandler.requests_seen[0]
+        seen = StubHandler.requests_seen[0]
         assert seen["auth"] == "Bearer test-key"
         assert seen["body"]["model"] == "test-model"
         assert seen["body"]["temperature"] == 0.0
@@ -252,38 +215,38 @@ class TestHttpBackend:
         assert seen["body"]["messages"][1]["content"] == PROMPT.user
 
     def test_retry_on_429_then_success(self, stub_server):
-        _StubHandler.script = [(429, {"error": "slow down"}), (200, _ok("after retry"))]
+        StubHandler.script = [(429, {"error": "slow down"}), (200, ok_reply("after retry"))]
         cfg = config(endpoint_url=stub_server)
         reply = complete(HttpBackend(), PROMPT, cfg, key="k")
         assert reply.text == "after retry"
-        assert len(_StubHandler.requests_seen) == 2
+        assert len(StubHandler.requests_seen) == 2
 
     def test_auth_rejection_not_retried(self, stub_server):
-        _StubHandler.script = [(401, {"error": "nope"})]
+        StubHandler.script = [(401, {"error": "nope"})]
         cfg = config(endpoint_url=stub_server)
         with pytest.raises(LlmAuthError):
             complete(HttpBackend(), PROMPT, cfg, key="k")
-        assert len(_StubHandler.requests_seen) == 1
+        assert len(StubHandler.requests_seen) == 1
 
     def test_invalid_request_not_retried(self, stub_server):
-        _StubHandler.script = [(404, {"error": "no such model"})]
+        StubHandler.script = [(404, {"error": "no such model"})]
         cfg = config(endpoint_url=stub_server)
         with pytest.raises(LlmRequestError):
             complete(HttpBackend(), PROMPT, cfg, key="k")
-        assert len(_StubHandler.requests_seen) == 1
+        assert len(StubHandler.requests_seen) == 1
 
     def test_truncated_reply_raises(self, stub_server):
-        _StubHandler.script = [(200, _ok("cut off mid", finish="length"))]
+        StubHandler.script = [(200, ok_reply("cut off mid", finish="length"))]
         cfg = config(endpoint_url=stub_server)
         with pytest.raises(LlmTruncatedError):
             complete(HttpBackend(), PROMPT, cfg, key="k")
 
     def test_server_errors_exhaust_into_transient(self, stub_server):
-        _StubHandler.script = [(500, {}), (502, {}), (503, {})]
+        StubHandler.script = [(500, {}), (502, {}), (503, {})]
         cfg = config(endpoint_url=stub_server, max_retries=2)
         with pytest.raises(LlmTransientError):
             complete(HttpBackend(), PROMPT, cfg, key="k")
-        assert len(_StubHandler.requests_seen) == 3
+        assert len(StubHandler.requests_seen) == 3
 
 
 class TestReplyInvariant:

@@ -1,15 +1,15 @@
 """Metric tests against independent reference implementations.
 
 The Jaro-Winkler reference below is written from the definition with a
-different structure (explicit match lists); the Ratcliff-Obershelp
-reference is difflib's SequenceMatcher, which implements the same gestalt
-algorithm in the standard library.
+different structure (explicit match lists).  The library computes
+Ratcliff-Obershelp with difflib's SequenceMatcher; its reference here is a
+direct leftmost-longest common substring decomposition, which must give
+the same float bit for bit.
 """
 
 from __future__ import annotations
 
 import random
-from difflib import SequenceMatcher
 from functools import lru_cache
 
 import pytest
@@ -75,8 +75,54 @@ def nld_reference(a: str, b: str) -> float:
     return rec(len(a), len(b)) / longest if longest else 0.0
 
 
+def _longest_common_substring(
+    a: str, a_lo: int, a_hi: int, b: str, b_lo: int, b_hi: int
+) -> tuple[int, int, int]:
+    """Leftmost-longest common substring of a[a_lo:a_hi] and b[b_lo:b_hi].
+
+    Returns (start_in_a, start_in_b, length); ties go to the smallest
+    start in ``a``, then the smallest start in ``b``.
+    """
+    best_i, best_j, best_len = a_lo, b_lo, 0
+    # row[j] = length of common suffix of a[..i] and b[..j]
+    row = [0] * (b_hi - b_lo + 1)
+    for i in range(a_lo, a_hi):
+        prev_diag = 0
+        ca = a[i]
+        for j in range(b_lo, b_hi):
+            cur = row[j - b_lo + 1]
+            if ca == b[j]:
+                length = prev_diag + 1
+                row[j - b_lo + 1] = length
+                if length > best_len:
+                    best_len = length
+                    best_i = i - length + 1
+                    best_j = j - length + 1
+            else:
+                row[j - b_lo + 1] = 0
+            prev_diag = cur
+    return best_i, best_j, best_len
+
+
 def ro_reference(a: str, b: str) -> float:
-    return SequenceMatcher(None, a, b, autojunk=False).ratio()
+    """Gestalt similarity 2M/T by recursive leftmost-longest decomposition."""
+    total = len(a) + len(b)
+    if total == 0:
+        return 1.0
+
+    matched = 0
+    stack = [(0, len(a), 0, len(b))]
+    while stack:
+        a_lo, a_hi, b_lo, b_hi = stack.pop()
+        if a_lo >= a_hi or b_lo >= b_hi:
+            continue
+        i, j, length = _longest_common_substring(a, a_lo, a_hi, b, b_lo, b_hi)
+        if length == 0:
+            continue
+        matched += length
+        stack.append((a_lo, i, b_lo, j))
+        stack.append((i + length, a_hi, j + length, b_hi))
+    return 2.0 * matched / total
 
 
 class TestNormalizedLevenshtein:
@@ -138,12 +184,36 @@ class TestRatcliffObershelp:
     def test_both_empty(self):
         assert ratcliff_obershelp("", "") == 1.0
 
-    def test_against_difflib(self):
+    def test_against_reference(self):
         rng = random.Random(3)
         for _ in range(500):
             a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 30)))
             b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 30)))
-            assert ratcliff_obershelp(a, b) == pytest.approx(ro_reference(a, b), abs=1e-12)
+            assert ratcliff_obershelp(a, b) == ro_reference(a, b)
+
+    def test_long_strings_keep_popular_characters(self):
+        # from 200 characters on, difflib's autojunk heuristic would drop
+        # frequent characters from b; the library must turn it off
+        rng = random.Random(4)
+        for alphabet in ("ab", "abc", ALPHABET):
+            for _ in range(3):
+                a = "".join(rng.choice(alphabet) for _ in range(rng.randint(200, 300)))
+                b = "".join(rng.choice(alphabet) for _ in range(rng.randint(200, 300)))
+                assert ratcliff_obershelp(a, b) == ro_reference(a, b)
+
+    @given(
+        st.sampled_from(["ab", "abc", ALPHABET, "e\u0301\U0001f600 "]).flatmap(
+            lambda alphabet: st.tuples(
+                st.text(alphabet=alphabet, max_size=60), st.text(alphabet=alphabet, max_size=60)
+            )
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equal_to_decomposition_bit_for_bit(self, pair):
+        # small alphabets make equal-length longest matches common, so the
+        # tie-break (earliest in a, then in b) decides the decomposition
+        a, b = pair
+        assert ratcliff_obershelp(a, b) == ro_reference(a, b)
 
 
 class TestProperties:

@@ -6,7 +6,13 @@ import pytest
 from conftest import make_line
 
 from blockspot.geometry import GeometryError, RecognizerSpec
-from blockspot.llm import LlmConfig, LlmTransientError, ScriptedBackend
+from blockspot.llm import (
+    LlmAuthError,
+    LlmConfig,
+    LlmTransientError,
+    LlmTruncatedError,
+    ScriptedBackend,
+)
 from blockspot.model import Block, Document, Line, Quad
 from blockspot.pipeline import (
     EchoRecognizer,
@@ -159,6 +165,22 @@ class TestOrderBlock:
         assert outcome.strategy is Strategy.GEOMETRIC_FALLBACK_ERROR
         assert outcome.block_text == "TO LOVE CYCLING 20 REASONS"
 
+    def test_truncated_reply_falls_back(self, figure_doc):
+        class Truncating:
+            def send(self, *a):
+                raise LlmTruncatedError("cut off")
+
+        outcome = order_block(figure_doc, figure_doc.blocks[0], Truncating(), config(), 0)
+        assert outcome.strategy is Strategy.GEOMETRIC_FALLBACK_ERROR
+
+    def test_auth_error_propagates(self, figure_doc):
+        class Revoked:
+            def send(self, *a):
+                raise LlmAuthError("authentication rejected (HTTP 401)")
+
+        with pytest.raises(LlmAuthError):
+            order_block(figure_doc, figure_doc.blocks[0], Revoked(), config(), 0)
+
     def test_context_overflow_never_calls_backend(self, figure_doc):
         backend = CountingBackend({"block-0": "never used"})
         tight = config(max_context_tokens=50, max_output_tokens=10)
@@ -272,6 +294,15 @@ class TestRun:
         serial = run(doc, backend, config(), concurrency=1)
         concurrent = run(doc, backend, config(), concurrency=8)
         assert serial == concurrent
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_auth_error_aborts_the_run_unwrapped(self, concurrency):
+        class Revoked:
+            def send(self, *a):
+                raise LlmAuthError("authentication rejected (HTTP 403)")
+
+        with pytest.raises(LlmAuthError, match="HTTP 403"):
+            run(self.make_doc(), Revoked(), config(), concurrency=concurrency)
 
     def test_block_key_format(self):
         assert block_key(0) == "block-0"
