@@ -17,8 +17,9 @@ names and whose values must have the setting's type.  Every report embeds
 the effective configuration so runs can be reproduced.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an output
-path that cannot be written), 3 backend configuration errors and rejected
-credentials (HTTP 401/403).  A run that fails leaves no output file.
+path that cannot be written), 3 backend configuration errors and requests
+the provider refuses (missing or rejected credentials, an HTTP status other
+than 200 and the retried ones).  A run that fails leaves no output file.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ from .evaluation import evaluate, render_table, report_to_json
 from .fuzzy import best_fuzzy_substring
 from .llm import (
     HttpBackend,
-    LlmAuthError,
     LlmBackend,
     LlmConfig,
+    LlmRefusedError,
     LlmRequestError,
     ReplayBackend,
     ScriptedBackend,
 )
 from .model import DocumentError, DocumentKind, load_document, serialize_document
-from .pipeline import DEFAULT_CONCURRENCY, build_block_prompt, run
+from .pipeline import build_block_prompt, run
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -77,7 +78,6 @@ class Settings:
     max_retries: int = 3
     endpoint_url: str = ""
     min_iou: float = 0.0
-    concurrency: int = DEFAULT_CONCURRENCY
 
     def echo(self) -> dict:
         """Reproducibility record; never includes the API key."""
@@ -177,7 +177,7 @@ def cmd_order(args: argparse.Namespace) -> int:
         if not path.parent.is_dir():
             raise InputError(f"cannot write output {path}: no directory {path.parent}")
 
-    out_doc, outcomes = run(doc, backend, config, concurrency=settings.concurrency)
+    out_doc, outcomes = run(doc, backend, config)
 
     payload = {
         "config": settings.echo(),
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("--model")
     order.add_argument("--max-context-tokens", dest="max_context_tokens", type=int)
     order.add_argument("--max-output-tokens", dest="max_output_tokens", type=int)
-    order.add_argument("--concurrency", type=int)
     order.add_argument("--out", required=True, help="output document path")
     order.add_argument("--outcomes", help="outcomes path (default: <out>.outcomes.json)")
     order.add_argument("--config", help="JSON config file (lowest precedence)")
@@ -312,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (BackendConfigError, LlmAuthError) as e:
+    except (BackendConfigError, LlmRefusedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -41,8 +41,16 @@ class LlmTransientError(LlmError):
     """Timeouts, connection drops, 429s, 5xx: worth retrying."""
 
 
-class LlmAuthError(LlmError):
-    """Missing or rejected credentials: never retried."""
+class LlmRefusedError(LlmError):
+    """The provider refused the request (credentials, model, endpoint).
+
+    Every other block would be refused too, so this is never retried and
+    never degraded to a per-block fallback.
+    """
+
+
+class LlmAuthError(LlmRefusedError):
+    """Missing or rejected credentials."""
 
 
 class LlmRequestError(LlmError):
@@ -184,7 +192,9 @@ class HttpBackend:
         if response.status_code in self.RETRYABLE_STATUS:
             raise LlmTransientError(f"HTTP {response.status_code}")
         if response.status_code != 200:
-            raise LlmRequestError(f"HTTP {response.status_code}: {response.text[:200]}")
+            raise LlmRefusedError(
+                f"request refused (HTTP {response.status_code}): {response.text[:200]}"
+            )
         try:
             body = response.json()
             choice = body["choices"][0]
@@ -230,33 +240,46 @@ def prompt_fingerprint(prompt: ChatPrompt) -> str:
 
 
 class ReplayBackend:
-    """Replays a recorded transcript: JSON lines of {key, prompt_hash, reply}."""
+    """Replays a recorded transcript.
+
+    Each line is a JSON object ``{key, prompt_hash, reply, finish_reason}``;
+    a line without ``finish_reason`` replays as ``complete``.
+    """
 
     def __init__(self, path: str | Path):
-        self._entries: dict[tuple[str, str], str] = {}
+        self._entries: dict[tuple[str, str], LlmReply] = {}
         path = Path(path)
-        for ln, raw in enumerate(path.read_text("utf-8").splitlines(), 1):
+        # split on "\n" only: replies may hold U+0085 or U+2028, which
+        # json.dumps leaves unescaped and str.splitlines would split on
+        for ln, raw in enumerate(path.read_text("utf-8").split("\n"), 1):
             if not raw.strip():
                 continue
             try:
                 entry = json.loads(raw)
-                self._entries[(entry["key"], entry["prompt_hash"])] = entry["reply"]
+                text = entry["reply"]
+                if not isinstance(text, str):
+                    raise TypeError(f"reply must be a string, got {text!r}")
+                reply = LlmReply(text, FinishReason(entry.get("finish_reason", "complete")))
+                self._entries[(entry["key"], entry["prompt_hash"])] = reply
             except (ValueError, KeyError, TypeError) as e:
                 raise LlmRequestError(f"{path}:{ln}: bad transcript line: {e}") from e
 
     def send(self, prompt: ChatPrompt, config: LlmConfig, key: str) -> LlmReply:
         fingerprint = prompt_fingerprint(prompt)
         try:
-            text = self._entries[(key, fingerprint)]
+            return self._entries[(key, fingerprint)]
         except KeyError:
             raise LlmRequestError(
                 f"transcript has no entry for key {key!r} with this prompt"
             ) from None
-        return LlmReply(text=text, finish_reason=FinishReason.COMPLETE)
 
 
 class TranscriptRecorder:
-    """Wraps a backend and appends every successful reply to a transcript."""
+    """Wraps a backend and appends every reply it returns to a transcript.
+
+    Sends that raise (transient failures) are not recorded, so a replay
+    serves the reply that the live run's retries ended with.
+    """
 
     def __init__(self, inner: LlmBackend, path: str | Path):
         self._inner = inner
@@ -266,7 +289,12 @@ class TranscriptRecorder:
     def send(self, prompt: ChatPrompt, config: LlmConfig, key: str) -> LlmReply:
         reply = self._inner.send(prompt, config, key)
         line = json.dumps(
-            {"key": key, "prompt_hash": prompt_fingerprint(prompt), "reply": reply.text},
+            {
+                "key": key,
+                "prompt_hash": prompt_fingerprint(prompt),
+                "reply": reply.text,
+                "finish_reason": reply.finish_reason.value,
+            },
             ensure_ascii=False,
         )
         with self._lock, self._path.open("a", encoding="utf-8") as sink:

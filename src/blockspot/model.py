@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -131,11 +132,16 @@ class Document:
     blocks: tuple[Block, ...] = ()
     is_ground_truth: bool = False
 
+    @cached_property
+    def _lines_by_id(self) -> dict[int, Line]:
+        # reversed, so the first of repeated ids (unvalidated documents) wins
+        return {line.id: line for line in reversed(self.lines)}
+
     def line_by_id(self, line_id: int) -> Line:
-        for line in self.lines:
-            if line.id == line_id:
-                return line
-        raise KeyError(f"unknown line id {line_id}")
+        try:
+            return self._lines_by_id[line_id]
+        except KeyError:
+            raise KeyError(f"unknown line id {line_id}") from None
 
     def ungrouped_line_ids(self) -> list[int]:
         grouped = {lid for block in self.blocks for lid in block.line_ids}
@@ -198,7 +204,7 @@ def parse_document(
             raise DocumentError(f"not valid UTF-8: {e}", source=source) from e
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also over-long integers, deep nesting
         raise DocumentError(f"malformed JSON: {e}", source=source) from e
     if not isinstance(data, dict):
         raise DocumentError("top level must be a JSON object", source=source)
@@ -208,19 +214,18 @@ def parse_document(
         height = _expect_int(data, "image_height")
         lines = tuple(_parse_line(obj, i, source) for i, obj in enumerate(_expect_list(data, "lines")))
         blocks = tuple(_parse_block(obj, i, source) for i, obj in enumerate(_expect_list(data, "blocks")))
+        doc = Document(
+            image_width=width,
+            image_height=height,
+            lines=lines,
+            blocks=blocks,
+            is_ground_truth=kind is DocumentKind.GROUND_TRUTH,
+        )
+        validate_document(doc, source=source)
     except DocumentError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # overflow: ints beyond float
         raise DocumentError(str(e), source=source) from e
-
-    doc = Document(
-        image_width=width,
-        image_height=height,
-        lines=lines,
-        blocks=blocks,
-        is_ground_truth=kind is DocumentKind.GROUND_TRUTH,
-    )
-    validate_document(doc, source=source)
     return doc
 
 
@@ -293,7 +298,7 @@ def _parse_line(obj: Any, index: int, source: str) -> Line:
             confidence = float(confidence)
         box = Quad.from_points(vertices)
         return Line(id=line_id, box=box, text=text, recognizer_confidence=confidence)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DocumentError(f"lines[{index}]: {e}", source=source) from e
 
 

@@ -4,8 +4,12 @@ For every block the pipeline computes the geometric line order, builds the
 code-interleaved prompt, and asks the LLM for the block text.  The LLM is
 skipped for single-line blocks and for prompts that exceed the context
 budget; transport errors and replies failing the length guard degrade to
-the geometric order joined with spaces.  Every block always ends up with a
-text and an :class:`OrderingOutcome` explaining which strategy produced it.
+the geometric order joined with spaces, while a request the provider
+refuses fails the whole run.  Every block always ends up with a text and
+an :class:`OrderingOutcome` explaining which strategy produced it.
+:func:`run` orders the blocks in a plain loop when there is no backend
+(the work is pure Python, which threads cannot speed up) and in a small
+thread pool when there is one, so that provider waits overlap.
 
 The recognizer side is an interface: :func:`plan_recognition` describes the
 rotate/crop/split work per line, an external engine fills in part texts,
@@ -31,7 +35,7 @@ from .geometry import (
     split_for_recognizer,
     translate_block_boxes,
 )
-from .llm import LlmAuthError, LlmBackend, LlmConfig, LlmError, complete, fits_context
+from .llm import LlmBackend, LlmConfig, LlmError, LlmRefusedError, complete, fits_context
 from .model import Block, Document, Line
 from .prompting import (
     BlockPromptInput,
@@ -41,7 +45,9 @@ from .prompting import (
     length_guard,
 )
 
-DEFAULT_CONCURRENCY = 4
+# Blocks in flight at once when a backend is set; only provider waits
+# overlap, because the GIL serializes the pure-Python work around them.
+_BACKEND_WORKERS = 4
 
 
 class PipelineError(RuntimeError):
@@ -196,8 +202,9 @@ def order_block(
     """Produce the text for one block.
 
     Backend failures degrade the block to the geometric order, except
-    :class:`LlmAuthError`, which no other block could escape either and
-    therefore propagates.
+    :class:`LlmRefusedError` (rejected credentials, unknown model or
+    endpoint), which no other block could escape either and therefore
+    propagates.
     """
     if len(block.line_ids) == 1:
         line = doc.line_by_id(block.line_ids[0])
@@ -230,7 +237,7 @@ def order_block(
 
     try:
         reply = complete(backend, prompt, config, key=block_key(block_index))
-    except LlmAuthError:
+    except LlmRefusedError:
         raise
     except LlmError:
         return fallback(Strategy.GEOMETRIC_FALLBACK_ERROR)
@@ -250,16 +257,15 @@ def run(
     doc: Document,
     backend: LlmBackend | None,
     config: LlmConfig,
-    *,
-    concurrency: int = DEFAULT_CONCURRENCY,
 ) -> tuple[Document, list[OrderingOutcome]]:
     """Order every block; returns the texted document and per-block outcomes.
 
     Lines outside any block are appended as singleton blocks (in line
-    order) so the output covers every detected line.  Blocks are processed
-    independently, up to ``concurrency`` at a time, and results are merged
-    back in block order, so a deterministic backend gives a deterministic
-    output.  An :class:`LlmAuthError` from any block is re-raised as is;
+    order) so the output covers every detected line.  Without a backend
+    the blocks are ordered in a plain loop; with one, a fixed pool of
+    threads overlaps the provider waits.  Results are merged back in block
+    order either way, so a deterministic backend gives a deterministic
+    output.  An :class:`LlmRefusedError` from any block is re-raised as is;
     other exceptions are invariant violations, gathered into one
     :class:`PipelineError`.
     """
@@ -270,19 +276,19 @@ def run(
         index, block = item
         try:
             return order_block(doc, block, backend, config, block_index=index)
-        except Exception as e:  # auth failures and bugs; reported after the merge
+        except Exception as e:  # refused requests and bugs; reported after the merge
             return e
 
     items = list(enumerate(blocks))
-    if concurrency > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+    if backend is not None and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=_BACKEND_WORKERS) as pool:
             results = list(pool.map(work, items))
     else:
         results = [work(item) for item in items]
 
     failures = [(i, r) for (i, _), r in zip(items, results) if isinstance(r, Exception)]
     for _, e in failures:
-        if isinstance(e, LlmAuthError):
+        if isinstance(e, LlmRefusedError):
             raise e
     if failures:
         raise PipelineError(

@@ -51,10 +51,6 @@ class BlockPromptInput:
         if min(r.x_min for _, r in self.entries) != 0 or min(r.y_min for _, r in self.entries) != 0:
             raise ValueError("boxes must be translated so the block minimum is (0, 0)")
 
-    @property
-    def texts(self) -> list[str]:
-        return [text for text, _ in self.entries]
-
 
 def _load_template() -> tuple[str, str]:
     raw = resources.files(__package__).joinpath(_TEMPLATE_RESOURCE).read_text("utf-8")

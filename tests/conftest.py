@@ -81,6 +81,23 @@ def synthetic_gt(num_blocks: int = 20) -> Document:
     return doc
 
 
+def _one_line_doc(vertex: str = "10", confidence: str = "0.5") -> str:
+    return (
+        '{"image_width": 800, "image_height": 600, "lines": [{"id": 1, "vertices": '
+        f'[[{vertex}, 10], [110, 10], [110, 40], [10, 40]], "text": "EXIT", '
+        f'"confidence": {confidence}}}], "blocks": [{{"line_ids": [1]}}]}}'
+    )
+
+
+# Inputs that once escaped parse_document as something other than DocumentError.
+HOSTILE_DOCUMENTS = {
+    "deep-nesting": "[" * 100_000,  # RecursionError in the JSON decoder
+    "huge-int-vertex": _one_line_doc(vertex="9" * 400),  # OverflowError in float()
+    "huge-int-confidence": _one_line_doc(confidence="9" * 400),
+    "over-long-integer": _one_line_doc(vertex="9" * 5000),  # int digit limit ValueError
+}
+
+
 @pytest.fixture
 def figure_doc() -> Document:
     return sign_doc()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import StubHandler, sign_doc, sign_gt, synthetic_gt
+from conftest import HOSTILE_DOCUMENTS, StubHandler, sign_doc, sign_gt, synthetic_gt
 
 from blockspot.cli import main
 from blockspot.model import save_document
@@ -83,6 +83,37 @@ class TestOrder:
         assert capsys.readouterr().err == "error: authentication rejected (HTTP 401)\n"
         assert len(StubHandler.requests_seen) == 1
         assert list(out.parent.iterdir()) == []
+
+    def test_refused_request_exits_3_without_output(
+        self, tmp_path, sign_fixture, stub_server, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("BLOCKSPOT_API_KEY", "test-key")
+        StubHandler.script = [(404, {"error": "model not found"})]
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"endpoint_url": stub_server, "model": "no-such-model"}))
+        out = tmp_path / "out" / "o.json"
+        out.parent.mkdir()
+        argv = ["order", str(doc_path), "--backend", "http", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: request refused (HTTP 404)")
+        assert len(StubHandler.requests_seen) == 1
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("raw", list(HOSTILE_DOCUMENTS.values()), ids=list(HOSTILE_DOCUMENTS))
+    def test_hostile_document_exits_2(self, tmp_path, capsys, raw):
+        doc_path = tmp_path / "hostile.json"
+        doc_path.write_text(raw)
+        assert main(["order", str(doc_path), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {doc_path}: ")
+        assert not (tmp_path / "o.json").exists()
+
+    def test_concurrency_flag_is_gone(self, tmp_path, sign_fixture, capsys):
+        doc_path, _ = sign_fixture
+        with pytest.raises(SystemExit) as exit_info:
+            main(["order", str(doc_path), "--concurrency", "2", "--out", str(tmp_path / "o.json")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --concurrency" in capsys.readouterr().err
 
     def test_deterministic_across_runs(self, tmp_path, sign_fixture):
         doc_path, replies = sign_fixture
@@ -239,7 +270,7 @@ class TestConfigPrecedence:
     def test_file_then_flag_override(self, tmp_path, sign_fixture):
         doc_path, replies = sign_fixture
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"backend": "geometric-only", "concurrency": 1}))
+        config.write_text(json.dumps({"backend": "geometric-only", "max_retries": 1}))
 
         out = tmp_path / "from_file.json"
         assert main(["order", str(doc_path), "--config", str(config), "--out", str(out)]) == 0
@@ -282,12 +313,19 @@ class TestConfigPrecedence:
         config.write_text(json.dumps({"turbo": True}))
         assert main(["order", str(doc_path), "--config", str(config), "--out", str(tmp_path / "o.json")]) == 3
 
+    def test_concurrency_config_key_is_unknown(self, tmp_path, sign_fixture, capsys):
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"concurrency": 1}))
+        assert main(["order", str(doc_path), "--config", str(config), "--out", str(tmp_path / "o.json")]) == 3
+        assert "unknown config key 'concurrency'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         ("command", "setting"),
         [
-            ("order", {"concurrency": "4"}),
-            ("order", {"concurrency": True}),
-            ("order", {"concurrency": 2.5}),
+            ("order", {"max_retries": "4"}),
+            ("order", {"max_retries": True}),
+            ("order", {"max_retries": 2.5}),
             ("order", {"backend": None}),
             ("order", {"temperature": [0]}),
             ("eval", {"min_iou": "0.5"}),
@@ -306,7 +344,7 @@ class TestConfigPrecedence:
     def test_int_config_value_accepted_for_float(self, tmp_path, sign_fixture):
         doc_path, _ = sign_fixture
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"temperature": 0, "concurrency": 1}))
+        config.write_text(json.dumps({"temperature": 0, "max_retries": 1}))
         out = tmp_path / "o.json"
         assert main(["order", str(doc_path), "--config", str(config), "--out", str(out)]) == 0
         echoed = json.loads(out.with_suffix(".outcomes.json").read_text())["config"]

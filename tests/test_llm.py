@@ -18,6 +18,7 @@ from blockspot.llm import (
     LlmAuthError,
     LlmConfig,
     LlmError,
+    LlmRefusedError,
     LlmReply,
     LlmRequestError,
     LlmTransientError,
@@ -194,6 +195,42 @@ class TestReplay:
         with pytest.raises(LlmRequestError, match="bad transcript line"):
             ReplayBackend(transcript)
 
+    @pytest.mark.parametrize("reason", list(FinishReason))
+    def test_finish_reason_recorded_and_replayed(self, tmp_path, reason):
+        class Answering:
+            def send(self, *a):
+                return LlmReply(text="partial", finish_reason=reason)
+
+        transcript = tmp_path / "session.jsonl"
+        live = TranscriptRecorder(Answering(), transcript).send(PROMPT, config(), "block-0")
+        assert json.loads(transcript.read_text())["finish_reason"] == reason.value
+        assert ReplayBackend(transcript).send(PROMPT, config(), "block-0") == live
+
+    def test_line_without_finish_reason_replays_complete(self, tmp_path):
+        transcript = tmp_path / "old.jsonl"
+        entry = {"key": "block-0", "prompt_hash": prompt_fingerprint(PROMPT), "reply": "x"}
+        transcript.write_text(json.dumps(entry) + "\n")
+        reply = ReplayBackend(transcript).send(PROMPT, config(), "block-0")
+        assert reply == LlmReply(text="x", finish_reason=FinishReason.COMPLETE)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"finish_reason": "stop"}, {"reply": ""}, {"reply": 7}],
+        ids=["unknown-reason", "empty-complete", "non-string"],
+    )
+    def test_invalid_entry_rejected(self, tmp_path, extra):
+        transcript = tmp_path / "bad.jsonl"
+        entry = {"key": "block-0", "prompt_hash": prompt_fingerprint(PROMPT), "reply": "x"}
+        transcript.write_text(json.dumps({**entry, **extra}) + "\n")
+        with pytest.raises(LlmRequestError, match=":1: bad transcript line"):
+            ReplayBackend(transcript)
+
+    def test_line_separators_inside_replies_survive(self, tmp_path):
+        transcript = tmp_path / "session.jsonl"
+        text = "one\u2028two\x85three\u2029four"
+        TranscriptRecorder(ScriptedBackend({"k": text}), transcript).send(PROMPT, config(), "k")
+        assert ReplayBackend(transcript).send(PROMPT, config(), "k").text == text
+
 
 class TestHttpBackend:
     def test_missing_api_key_fails_without_network(self):
@@ -231,7 +268,7 @@ class TestHttpBackend:
     def test_invalid_request_not_retried(self, stub_server):
         StubHandler.script = [(404, {"error": "no such model"})]
         cfg = config(endpoint_url=stub_server)
-        with pytest.raises(LlmRequestError):
+        with pytest.raises(LlmRefusedError, match="HTTP 404"):
             complete(HttpBackend(), PROMPT, cfg, key="k")
         assert len(StubHandler.requests_seen) == 1
 
@@ -260,3 +297,5 @@ class TestReplyInvariant:
     def test_llm_error_hierarchy(self):
         for cls in (LlmTransientError, LlmAuthError, LlmRequestError, LlmTruncatedError):
             assert issubclass(cls, LlmError)
+        assert issubclass(LlmAuthError, LlmRefusedError)
+        assert not issubclass(LlmRequestError, LlmRefusedError)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from conftest import HOSTILE_DOCUMENTS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspot.model import (
     Block,
@@ -175,6 +179,57 @@ class TestParse:
                 parse_document(raw)
 
 
+class TestHostileInput:
+    @pytest.mark.parametrize("raw", list(HOSTILE_DOCUMENTS.values()), ids=list(HOSTILE_DOCUMENTS))
+    def test_raises_document_error(self, raw):
+        with pytest.raises(DocumentError):
+            parse_document(raw)
+
+    # JSON tokens for one value slot, including numbers beyond a float or
+    # beyond the interpreter's integer-string limit and nested arrays.
+    _TOKENS = st.one_of(
+        st.integers(-(10**6), 10**6).map(str),
+        st.integers(300, 5000).map(lambda n: "9" * n),
+        st.floats().map(json.dumps),
+        st.text(max_size=6).map(json.dumps),
+        st.integers(1, 3000).map(lambda n: "[" * n + "]" * n),
+        st.sampled_from(["null", "true", "{}", '[[0, 0], [1, 0], [1, 1], [0, 1]]', "1e400"]),
+    )
+
+    @staticmethod
+    def _document_text(w, h, lid, x, y, conf, text, block_id):
+        return (
+            f'{{"image_width": {w}, "image_height": {h}, "lines": [{{"id": {lid}, '
+            f'"vertices": [[{x}, {y}], [110, 10], [110, 40], [10, 40]], "text": {text}, '
+            f'"confidence": {conf}}}], "blocks": [{{"line_ids": [{block_id}]}}]}}'
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(_document_text.__func__, *[_TOKENS] * 8),
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+                lambda inner: st.lists(inner, max_size=4)
+                | st.dictionaries(
+                    st.sampled_from(["image_width", "image_height", "lines", "blocks", "id",
+                                     "vertices", "text", "confidence", "line_ids"]),
+                    inner,
+                    max_size=5,
+                ),
+                max_leaves=30,
+            ).map(json.dumps),
+            st.text(max_size=40),
+            st.binary(max_size=40),
+        )
+    )
+    def test_parse_raises_only_document_error(self, raw):
+        try:
+            parse_document(raw)
+        except DocumentError:
+            pass
+
+
 class TestSerialize:
     def test_empty_blocks_round_trip(self):
         doc = parse(doc_dict(blocks=[]))
@@ -237,5 +292,19 @@ class TestTypes:
         validate_document(doc)
         assert doc.ungrouped_line_ids() == [2]
         assert doc.line_by_id(2).text == "b"
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown line id 99"):
             doc.line_by_id(99)
+
+    def test_line_by_id_first_of_repeated_ids_wins(self):
+        box = Quad.from_points([[0, 0], [10, 0], [10, 5], [0, 5]])
+        doc = Document(image_width=100, image_height=100, lines=(Line(1, box, "first"), Line(1, box, "second")))
+        assert doc.line_by_id(1).text == "first"
+
+    def test_line_by_id_follows_replaced_lines(self):
+        box = Quad.from_points([[0, 0], [10, 0], [10, 5], [0, 5]])
+        doc = Document(image_width=100, image_height=100, lines=(Line(1, box, "old"),))
+        assert doc.line_by_id(1).text == "old"
+        new = replace(doc, lines=(Line(1, box, "new"),))
+        assert new.line_by_id(1).text == "new"
+        assert doc.line_by_id(1).text == "old"
+        assert doc == Document(image_width=100, image_height=100, lines=(Line(1, box, "old"),))

@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
-import pytest
-from conftest import make_line
+import tempfile
+import threading
+from pathlib import Path
 
+import pytest
+from conftest import StubHandler, make_line, sign_doc, synthetic_gt
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from blockspot import pipeline
 from blockspot.geometry import GeometryError, RecognizerSpec
 from blockspot.llm import (
+    FinishReason,
+    HttpBackend,
     LlmAuthError,
     LlmConfig,
+    LlmRefusedError,
+    LlmReply,
     LlmTransientError,
     LlmTruncatedError,
+    ReplayBackend,
     ScriptedBackend,
+    TranscriptRecorder,
 )
 from blockspot.model import Block, Document, Line, Quad
 from blockspot.pipeline import (
@@ -288,21 +301,71 @@ class TestRun:
         assert texts_b[1] == texts_a[0]
         assert texts_b[2] == texts_a[2]
 
-    def test_serial_and_concurrent_agree(self):
+    def test_equals_order_block_block_by_block(self):
+        doc = synthetic_gt(11)  # more blocks than pool workers; 1-, 2- and 3-line blocks
+        backend = ScriptedBackend({f"block-{i}": b.text for i, b in enumerate(doc.blocks)})
+        out, outcomes = run(doc, backend, config())
+        expected = [
+            order_block(doc, block, backend, config(), block_index=i)
+            for i, block in enumerate(doc.blocks)
+        ]
+        assert outcomes == expected
+        assert [b.text for b in out.blocks] == [o.block_text for o in expected]
+
+    def test_geometric_only_run_starts_no_pool(self, monkeypatch):
+        def no_pool(*a, **k):
+            raise AssertionError("geometric-only run started a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        out, outcomes = run(synthetic_gt(6), None, config())
+        assert [o.strategy for o in outcomes[:2]] == [Strategy.SINGLE_LINE, Strategy.GEOMETRIC_ONLY]
+
+    def test_provider_waits_overlap(self):
+        class Waiting:
+            """Holds each send until a second one is in flight (or 5 s pass)."""
+
+            def __init__(self):
+                self.in_flight = 0
+                self.peak = 0
+                self.cond = threading.Condition()
+
+            def send(self, prompt, cfg, key):
+                with self.cond:
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                    self.cond.notify_all()
+                    self.cond.wait_for(lambda: self.peak >= 2, timeout=5.0)
+                    self.in_flight -= 1
+                return LlmReply(text="reply")
+
+        backend = Waiting()
+        run(synthetic_gt(6), backend, config())
+        assert backend.peak >= 2
+
+    def test_serial_and_concurrent_agree(self, monkeypatch):
         doc = self.make_doc()
         backend = ScriptedBackend({"block-0": "alpha one alpha two", "block-1": "beta one beta two"})
-        serial = run(doc, backend, config(), concurrency=1)
-        concurrent = run(doc, backend, config(), concurrency=8)
+        monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 1)
+        serial = run(doc, backend, config())
+        monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 8)
+        concurrent = run(doc, backend, config())
         assert serial == concurrent
 
-    @pytest.mark.parametrize("concurrency", [1, 4])
-    def test_auth_error_aborts_the_run_unwrapped(self, concurrency):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_auth_error_aborts_the_run_unwrapped(self, monkeypatch, workers):
         class Revoked:
             def send(self, *a):
                 raise LlmAuthError("authentication rejected (HTTP 403)")
 
+        monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", workers)
         with pytest.raises(LlmAuthError, match="HTTP 403"):
-            run(self.make_doc(), Revoked(), config(), concurrency=concurrency)
+            run(self.make_doc(), Revoked(), config())
+
+    def test_refused_request_aborts_the_run_unwrapped(self, stub_server):
+        StubHandler.script = [(404, {"error": "model not found"})]
+        with pytest.raises(LlmRefusedError, match="HTTP 404"):
+            run(sign_doc(), HttpBackend(), config(endpoint_url=stub_server))
+        assert len(StubHandler.requests_seen) == 1
 
     def test_block_key_format(self):
         assert block_key(0) == "block-0"
@@ -321,3 +384,39 @@ class TestRun:
             run(doc, None, config())
         assert "block 0" in str(err.value)
         assert "block 1" in str(err.value)
+
+
+class TestReplayMatchesLive:
+    class Provider:
+        """Fails ``failures`` times with a transient error, then answers ``reply``."""
+
+        def __init__(self, reply: LlmReply, failures: int):
+            self.reply = reply
+            self.failures = failures
+
+        def send(self, prompt, cfg, key):
+            if self.failures:
+                self.failures -= 1
+                raise LlmTransientError("connection reset")
+            return self.reply
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        reason=st.sampled_from(FinishReason),
+        text=st.sampled_from(
+            ["20 REASONS TO LOVE CYCLING", "TO LOVE", "", "   ", "20 REASONS TO LOVE CYCLING " * 3]
+        )
+        | st.text(max_size=40),
+        failures=st.integers(0, 4),  # 3 and 4 exhaust max_retries=2: always down
+    )
+    def test_replayed_outcomes_equal_live(self, reason, text, failures):
+        assume(text or reason is not FinishReason.COMPLETE)
+        doc = sign_doc()
+        cfg = config(max_retries=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            transcript = Path(tmp) / "session.jsonl"
+            transcript.touch()
+            provider = self.Provider(LlmReply(text, reason), failures)
+            live = run(doc, TranscriptRecorder(provider, transcript), cfg)
+            replayed = run(doc, ReplayBackend(transcript), cfg)
+        assert replayed == live
