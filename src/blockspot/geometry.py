@@ -61,17 +61,6 @@ class RecognizerSpec:
         return self.input_width / self.input_height
 
 
-def polygon_area(vertices: Sequence[Point]) -> float:
-    """Signed shoelace area; positive for counter-clockwise winding."""
-    area = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        area += x0 * y1 - x1 * y0
-    return area / 2
-
-
 def quad_bounds(vertices: Sequence[Point]) -> AlignedRect:
     """Axis-aligned bounding rectangle of a set of points."""
     xs = [p[0] for p in vertices]

@@ -27,6 +27,7 @@ from typing import Mapping, Protocol
 
 import requests
 
+from .model import LONE_SURROGATE
 from .prompting import ChatPrompt
 
 API_KEY_ENV = "BLOCKSPOT_API_KEY"
@@ -124,8 +125,8 @@ def complete(
 ) -> LlmReply:
     """Run one completion with retries on transient failures.
 
-    The reply text is stripped of surrounding whitespace; empty or
-    truncated replies are raised as errors so callers can fall back.
+    The reply text is stripped of surrounding whitespace; empty, truncated
+    and lone-surrogate replies are raised as errors so callers can fall back.
     """
     attempts = config.max_retries + 1
     last: LlmTransientError | None = None
@@ -145,6 +146,8 @@ def complete(
             raise LlmRequestError(f"backend reported an error reply (key={key!r})")
         if not text:
             raise LlmRequestError(f"backend returned an empty reply (key={key!r})")
+        if LONE_SURROGATE.search(text):
+            raise LlmRequestError(f"reply holds a lone surrogate (key={key!r})")
         return LlmReply(
             text=text,
             finish_reason=FinishReason.COMPLETE,
@@ -297,6 +300,7 @@ class TranscriptRecorder:
             },
             ensure_ascii=False,
         )
-        with self._lock, self._path.open("a", encoding="utf-8") as sink:
+        # backslashreplace writes a lone surrogate as its JSON escape \udXXX
+        with self._lock, self._path.open("a", encoding="utf-8", errors="backslashreplace") as sink:
             sink.write(line + "\n")
         return reply

@@ -19,6 +19,7 @@ Schema (UTF-8 JSON)::
       ]
     }
 
+Line texts hold no control characters and no text a lone surrogate.
 Documents are immutable after parsing and safe to share between workers.
 """
 
@@ -26,12 +27,14 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
-from .geometry import polygon_area, quad_bounds
+from .geometry import quad_bounds
 
 BOX_MARGIN_PX = 5.0
 
@@ -59,37 +62,38 @@ class Quad:
     def __post_init__(self) -> None:
         if len(self.vertices) != 4:
             raise ValueError(f"quad needs 4 vertices, got {len(self.vertices)}")
-        for x, y in self.vertices:
-            if not (_finite(x) and _finite(y)):
-                raise ValueError(f"non-finite vertex ({x}, {y})")
-        if polygon_area(self.vertices) <= 0:
+        crosses = _corner_crosses(self.vertices)
+        area4 = sum(crosses)
+        if not math.isfinite(area4):
+            raise ValueError(f"non-finite vertex in {self.vertices}")
+        if area4 <= 0:
             raise ValueError("quad vertices must wind counter-clockwise with area > 0")
-        if not _is_convex(self.vertices):
+        if min(crosses) < -1e-9 * max(crosses):  # a corner turning the other way
             raise ValueError("quad is not convex")
 
     @classmethod
     def from_points(cls, points: Iterable[Iterable[float]]) -> "Quad":
         """Build a quad, flipping clockwise input to the canonical winding."""
         pts = tuple((float(x), float(y)) for x, y in points)
-        if len(pts) == 4 and polygon_area(pts) < 0:
+        if len(pts) == 4 and sum(_corner_crosses(pts)) < 0:
             pts = (pts[0], pts[3], pts[2], pts[1])
         return cls(pts)
 
 
-def _finite(v: float) -> bool:
-    return isinstance(v, (int, float)) and v == v and abs(v) != float("inf")
-
-
-def _is_convex(vertices: tuple[tuple[float, float], ...]) -> bool:
+def _corner_crosses(vertices: tuple[tuple[float, float], ...]) -> list[float]:
+    """Cross product of the edges meeting at each vertex; the four sum to 4x the
+    signed area (positive counter-clockwise), not finite if any coordinate is."""
+    (px, py), (qx, qy) = vertices[-2], vertices[-1]
     crosses = []
-    n = len(vertices)
-    for i in range(n):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % n]
-        cx, cy = vertices[(i + 2) % n]
-        crosses.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
-    scale = max(abs(c) for c in crosses) or 1.0
-    return all(c >= -1e-9 * scale for c in crosses)
+    for rx, ry in vertices:
+        crosses.append((qx - px) * (ry - qy) - (qy - py) * (rx - qx))
+        px, py, qx, qy = qx, qy, rx, ry
+    return crosses
+
+
+# No C0 control or DEL within a line; no lone surrogate (UTF-8 cannot encode one)
+_BAD_LINE_TEXT = re.compile(r"[\x00-\x1f\x7f\ud800-\udfff]")
+LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,8 @@ class Line:
     recognizer_confidence: float | None = None
 
     def __post_init__(self) -> None:
-        if any(ord(c) < 32 or ord(c) == 127 for c in self.text):
-            raise ValueError(f"line {self.id}: text contains control characters")
+        if _BAD_LINE_TEXT.search(self.text):
+            raise ValueError(f"line {self.id}: text contains control characters or lone surrogates")
         if self.recognizer_confidence is not None and not 0.0 <= self.recognizer_confidence <= 1.0:
             raise ValueError(f"line {self.id}: confidence outside [0, 1]")
 
@@ -239,7 +243,7 @@ def load_document(path: str | Path, kind: DocumentKind | str = DocumentKind.PRED
 
 
 def serialize_document(doc: Document) -> bytes:
-    """Deterministic UTF-8 JSON; parse(serialize(doc)) equals doc."""
+    """Deterministic compact UTF-8 JSON; parse(serialize(doc)) equals doc."""
     data: dict[str, Any] = {
         "image_width": doc.image_width,
         "image_height": doc.image_height,
@@ -259,7 +263,7 @@ def serialize_document(doc: Document) -> bytes:
             for block in doc.blocks
         ],
     }
-    return json.dumps(data, ensure_ascii=False, indent=1).encode("utf-8")
+    return json.dumps(data, ensure_ascii=False).encode("utf-8")
 
 
 def save_document(doc: Document, path: str | Path) -> None:
@@ -312,8 +316,8 @@ def _parse_block(obj: Any, index: int, source: str) -> Block:
         ):
             raise ValueError("line_ids must be a list of integers")
         text = obj.get("text")
-        if text is not None and not isinstance(text, str):
-            raise ValueError("block text must be a string")
+        if text is not None and (not isinstance(text, str) or LONE_SURROGATE.search(text)):
+            raise ValueError("block text must be a string without lone surrogates")
         return Block(line_ids=tuple(line_ids), text=text)
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"blocks[{index}]: {e}", source=source) from e

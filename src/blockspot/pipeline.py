@@ -20,6 +20,7 @@ are provided for tests and offline runs.
 from __future__ import annotations
 
 import enum
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Sequence
@@ -265,18 +266,23 @@ def run(
     the blocks are ordered in a plain loop; with one, a fixed pool of
     threads overlaps the provider waits.  Results are merged back in block
     order either way, so a deterministic backend gives a deterministic
-    output.  An :class:`LlmRefusedError` from any block is re-raised as is;
-    other exceptions are invariant violations, gathered into one
-    :class:`PipelineError`.
+    output.  An :class:`LlmRefusedError` from any block stops the blocks
+    not yet started and is re-raised as is; other exceptions are invariant
+    violations, gathered into one :class:`PipelineError`.
     """
     blocks = list(doc.blocks)
     blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
+    refused = threading.Event()
 
-    def work(item: tuple[int, Block]) -> OrderingOutcome | Exception:
+    def work(item: tuple[int, Block]) -> OrderingOutcome | Exception | None:
+        if refused.is_set():  # any further request would be refused too
+            return None
         index, block = item
         try:
             return order_block(doc, block, backend, config, block_index=index)
         except Exception as e:  # refused requests and bugs; reported after the merge
+            if isinstance(e, LlmRefusedError):
+                refused.set()
             return e
 
     items = list(enumerate(blocks))
@@ -286,17 +292,11 @@ def run(
     else:
         results = [work(item) for item in items]
 
-    failures = [(i, r) for (i, _), r in zip(items, results) if isinstance(r, Exception)]
-    for _, e in failures:
-        if isinstance(e, LlmRefusedError):
-            raise e
+    if refused.is_set():
+        raise next(r for r in results if isinstance(r, LlmRefusedError))
+    failures = [(i, r) for i, r in enumerate(results) if isinstance(r, Exception)]
     if failures:
-        raise PipelineError(
-            "; ".join(f"block {i}: {e}" for i, e in failures)
-        )
-    outcomes = results
+        raise PipelineError("; ".join(f"block {i}: {e}" for i, e in failures))
 
-    new_blocks = tuple(
-        replace(block, text=outcome.block_text) for block, outcome in zip(blocks, outcomes)
-    )
-    return doc.with_blocks(new_blocks), outcomes
+    new_blocks = tuple(replace(b, text=o.block_text) for b, o in zip(blocks, results))
+    return doc.with_blocks(new_blocks), results

@@ -81,11 +81,13 @@ def synthetic_gt(num_blocks: int = 20) -> Document:
     return doc
 
 
-def _one_line_doc(vertex: str = "10", confidence: str = "0.5") -> str:
+def _one_line_doc(
+    vertex: str = "10", confidence: str = "0.5", text: str = '"EXIT"', block_text: str = "null"
+) -> str:
     return (
         '{"image_width": 800, "image_height": 600, "lines": [{"id": 1, "vertices": '
-        f'[[{vertex}, 10], [110, 10], [110, 40], [10, 40]], "text": "EXIT", '
-        f'"confidence": {confidence}}}], "blocks": [{{"line_ids": [1]}}]}}'
+        f'[[{vertex}, 10], [110, 10], [110, 40], [10, 40]], "text": {text}, '
+        f'"confidence": {confidence}}}], "blocks": [{{"line_ids": [1], "text": {block_text}}}]}}'
     )
 
 
@@ -95,6 +97,11 @@ HOSTILE_DOCUMENTS = {
     "huge-int-vertex": _one_line_doc(vertex="9" * 400),  # OverflowError in float()
     "huge-int-confidence": _one_line_doc(confidence="9" * 400),
     "over-long-integer": _one_line_doc(vertex="9" * 5000),  # int digit limit ValueError
+    "nan-vertex": _one_line_doc(vertex="NaN"),
+    "infinity-vertex": _one_line_doc(vertex="-Infinity"),
+    # JSON escapes of lone surrogates, which UTF-8 output cannot encode
+    "lone-surrogate-line-text": _one_line_doc(text='"EX\\ud800IT"'),
+    "lone-surrogate-block-text": _one_line_doc(block_text='"EXIT\\udfff"'),
 }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import HOSTILE_DOCUMENTS, StubHandler, sign_doc, sign_gt, synthetic_gt
+from conftest import HOSTILE_DOCUMENTS, StubHandler, ok_reply, sign_doc, sign_gt, synthetic_gt
 
 from blockspot.cli import main
 from blockspot.model import save_document
@@ -99,6 +99,24 @@ class TestOrder:
         assert capsys.readouterr().err.startswith("error: request refused (HTTP 404)")
         assert len(StubHandler.requests_seen) == 1
         assert list(out.parent.iterdir()) == []
+
+    def test_lone_surrogate_reply_falls_back(
+        self, tmp_path, sign_fixture, stub_server, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("BLOCKSPOT_API_KEY", "test-key")
+        # the stub escapes it as JSON "\\ud83d", which decodes to a lone surrogate
+        StubHandler.script = [(200, ok_reply("20 REASONS \ud83d TO LOVE CYCLING"))]
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"endpoint_url": stub_server}))
+        out = tmp_path / "o.json"
+        argv = ["order", str(doc_path), "--backend", "http", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        assert len(StubHandler.requests_seen) == 1
+        result = json.loads(out.read_bytes().decode("utf-8"))
+        assert result["blocks"][0]["text"] == "TO LOVE CYCLING 20 REASONS"
+        outcomes = json.loads(out.with_suffix(".outcomes.json").read_bytes().decode("utf-8"))
+        assert outcomes["outcomes"][0]["strategy"] == "geometric_fallback_error"
 
     @pytest.mark.parametrize("raw", list(HOSTILE_DOCUMENTS.values()), ids=list(HOSTILE_DOCUMENTS))
     def test_hostile_document_exits_2(self, tmp_path, capsys, raw):

@@ -22,7 +22,6 @@ from blockspot.geometry import (
     Point,
     RecognizerSpec,
     crop_rect,
-    polygon_area,
     quad_bounds,
     rect_iou,
     rotate_point,
@@ -42,6 +41,17 @@ def rotated_rect_quad(cx, cy, w, h, angle_degrees):
     return tuple(
         (cx + px, cy + py) for px, py in (rotate_point(p, angle_degrees) for p in half)
     )
+
+
+def polygon_area(vertices: Sequence[Point]) -> float:
+    """Signed shoelace area; positive for counter-clockwise winding."""
+    area = 0.0
+    n = len(vertices)
+    for i in range(n):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % n]
+        area += x0 * y1 - x1 * y0
+    return area / 2
 
 
 def _clip_left_of(subject: list[Point], a: Point, b: Point) -> list[Point]:

@@ -159,6 +159,13 @@ class TestRetries:
         backend = ScriptedBackend({"k": "  answer \n"})
         assert complete(backend, PROMPT, config(), key="k").text == "answer"
 
+    def test_lone_surrogate_reply_is_request_error(self):
+        backend = ScriptedBackend({"k": "TO \ud83d LOVE"})
+        with pytest.raises(LlmRequestError, match="lone surrogate"):
+            complete(backend, PROMPT, config(), key="k")
+        paired = ScriptedBackend({"k": "TO \U0001f600 LOVE"})
+        assert complete(paired, PROMPT, config(), key="k").text == "TO \U0001f600 LOVE"
+
     def test_empty_reply_raises(self):
         class Empty:
             def send(self, *a):
@@ -224,6 +231,12 @@ class TestReplay:
         transcript.write_text(json.dumps({**entry, **extra}) + "\n")
         with pytest.raises(LlmRequestError, match=":1: bad transcript line"):
             ReplayBackend(transcript)
+
+    def test_lone_surrogate_reply_recorded_and_replayed(self, tmp_path):
+        transcript = tmp_path / "session.jsonl"
+        live = TranscriptRecorder(ScriptedBackend({"k": "a\udc00b"}), transcript).send(PROMPT, config(), "k")
+        assert "\\udc00" in transcript.read_text("utf-8")
+        assert ReplayBackend(transcript).send(PROMPT, config(), "k") == live
 
     def test_line_separators_inside_replies_survive(self, tmp_path):
         transcript = tmp_path / "session.jsonl"

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from conftest import HOSTILE_DOCUMENTS
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockspot.model import (
@@ -44,6 +46,62 @@ def doc_dict(**overrides):
 
 def parse(data, kind=DocumentKind.PREDICTION):
     return parse_document(json.dumps(data), kind)
+
+
+# Reference quad validator in four passes: shoelace area for the flip,
+# per-coordinate finiteness, shoelace area again, corner convexity.
+
+
+def shoelace_area(vertices) -> float:
+    """Signed shoelace area; positive for counter-clockwise winding."""
+    area = 0.0
+    n = len(vertices)
+    for i in range(n):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % n]
+        area += x0 * y1 - x1 * y0
+    return area / 2
+
+
+def _finite(v: float) -> bool:
+    return isinstance(v, (int, float)) and v == v and abs(v) != float("inf")
+
+
+def _is_convex(vertices) -> bool:
+    crosses = []
+    n = len(vertices)
+    for i in range(n):
+        ax, ay = vertices[i]
+        bx, by = vertices[(i + 1) % n]
+        cx, cy = vertices[(i + 2) % n]
+        crosses.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
+    scale = max(abs(c) for c in crosses) or 1.0
+    return all(c >= -1e-9 * scale for c in crosses)
+
+
+def reference_quad(points):
+    """("ok", vertices) or (error class, None), as ``Quad.from_points`` decided."""
+    pts = tuple((float(x), float(y)) for x, y in points)
+    if shoelace_area(pts) < 0:
+        pts = (pts[0], pts[3], pts[2], pts[1])
+    if not all(_finite(x) and _finite(y) for x, y in pts):
+        return "non-finite", None
+    if shoelace_area(pts) <= 0:
+        return "winding", None
+    if not _is_convex(pts):
+        return "convex", None
+    return "ok", pts
+
+
+def quad_decision(points):
+    try:
+        return "ok", Quad.from_points(points).vertices
+    except ValueError as e:
+        classes = (("non-finite", "non-finite"), ("winding", "counter-clockwise"), ("convex", "convex"))
+        for cls, needle in classes:
+            if needle in str(e):
+                return cls, None
+        raise
 
 
 class TestParse:
@@ -151,9 +209,7 @@ class TestParse:
             blocks=[{"line_ids": [1]}],
         )
         doc = parse(data)
-        from blockspot.geometry import polygon_area
-
-        assert polygon_area(doc.lines[0].box.vertices) > 0
+        assert shoelace_area(doc.lines[0].box.vertices) > 0
 
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(DocumentError, match="dimensions"):
@@ -228,6 +284,90 @@ class TestHostileInput:
             parse_document(raw)
         except DocumentError:
             pass
+
+
+def _quads(coord):
+    """Random, convex, clockwise, collinear, bowtie and dented quads."""
+    point = st.tuples(coord, coord)
+    rect = st.tuples(coord, coord, coord, coord).map(
+        lambda r: [(r[0], r[1]), (r[2], r[1]), (r[2], r[3]), (r[0], r[3])]
+    )
+    dented = st.tuples(point, point, point).map(  # a triangle and (about) its centroid
+        lambda t: [t[0], t[1], tuple(sum(c) // 3 for c in zip(*t)), t[2]]
+    )
+    shape = st.one_of(st.lists(point, min_size=4, max_size=4), rect, dented)
+    arrange = st.sampled_from([
+        lambda q: q,
+        lambda q: q[::-1],  # clockwise
+        lambda q: [q[0], q[2], q[1], q[3]],  # bowtie
+        lambda q: q[1:] + q[:1],
+    ])
+    return st.builds(lambda q, f: f(q), shape, arrange)
+
+
+def _collinear(coord):
+    steps = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+    return st.tuples(coord, coord, coord, coord, steps).map(
+        lambda t: [(t[0] + k * t[2], t[1] + k * t[3]) for k in t[4]]
+    )
+
+
+def _kites(size):
+    """Vertex 2 just off the chord from vertex 1 to 3: near the convexity allowance."""
+    return st.builds(
+        lambda n, off: [(0.0, 0.0), (n, 0.0), (n / 2 + off * n, n / 2 + off * n), (0.0, n)],
+        size,
+        st.floats(-1e-8, 1e-8),
+    )
+
+
+def _exact_area(points) -> Fraction:
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])) / 2
+
+
+_INT = st.integers(-(2**20), 2**20)
+
+
+class TestQuadMatchesReference:
+    """One pass of corner cross products decides as the shoelace/finite/convex trio."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.one_of(_quads(_INT), _collinear(st.integers(-(2**18), 2**18))))
+    def test_integer_quads(self, points):
+        # integers of at most 21 bits: every product and sum is exact in floats
+        assert quad_decision(points) == reference_quad(points)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.one_of(_quads(st.floats(-1e6, 1e6, allow_nan=False)), _kites(st.floats(1.0, 1e6))))
+    def test_float_quads_clear_of_rounding(self, points):
+        scale = max(abs(c) for p in points for c in p)
+        assume(abs(_exact_area(points)) > Fraction(1e-9) * Fraction(scale) ** 2)
+        assert quad_decision(points) == reference_quad(points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_quads(_INT), st.integers(0, 7), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_vertex(self, points, slot, bad):
+        coords = [c for p in points for c in p]
+        coords[slot] = bad
+        points = list(zip(coords[::2], coords[1::2]))
+        assert quad_decision(points) == reference_quad(points) == ("non-finite", None)
+
+
+class TestText:
+    def test_paired_surrogate_escape_accepted(self):
+        data = doc_dict(blocks=[{"line_ids": [1], "text": "EXIT \U0001f600"}])
+        data["lines"][0]["text"] = "EXIT \U0001f600"
+        raw = json.dumps(data)  # ASCII, so each emoji is the escape pair below
+        assert raw.count("\\ud83d\\ude00") == 2
+        doc = parse_document(raw)
+        assert doc.lines[0].text == doc.blocks[0].text == "EXIT \U0001f600"
+        assert parse_document(serialize_document(doc)) == doc
+
+    def test_block_text_may_span_lines(self):
+        # LLM replies may hold line breaks, so ordered block texts can too
+        doc = parse(doc_dict(blocks=[{"line_ids": [1], "text": "EX\nIT"}]))
+        assert parse_document(serialize_document(doc)) == doc
 
 
 class TestSerialize:

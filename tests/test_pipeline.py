@@ -367,6 +367,13 @@ class TestRun:
             run(sign_doc(), HttpBackend(), config(endpoint_url=stub_server))
         assert len(StubHandler.requests_seen) == 1
 
+    def test_refusal_stops_further_sends(self, stub_server):
+        StubHandler.script = [(404, {"error": "model not found"})] * 60
+        with pytest.raises(LlmRefusedError, match="HTTP 404"):
+            run(synthetic_gt(60), HttpBackend(), config(endpoint_url=stub_server))
+        # only the blocks already sending when the first refusal came back
+        assert 1 <= len(StubHandler.requests_seen) <= pipeline._BACKEND_WORKERS
+
     def test_block_key_format(self):
         assert block_key(0) == "block-0"
         assert block_key(12) == "block-12"
@@ -404,7 +411,14 @@ class TestReplayMatchesLive:
     @given(
         reason=st.sampled_from(FinishReason),
         text=st.sampled_from(
-            ["20 REASONS TO LOVE CYCLING", "TO LOVE", "", "   ", "20 REASONS TO LOVE CYCLING " * 3]
+            [
+                "20 REASONS TO LOVE CYCLING",
+                "TO LOVE",
+                "",
+                "   ",
+                "20 REASONS TO LOVE CYCLING " * 3,
+                "20 REASONS TO LOVE \ud83d CYCLING",  # a lone surrogate
+            ]
         )
         | st.text(max_size=40),
         failures=st.integers(0, 4),  # 3 and 4 exhaust max_retries=2: always down
