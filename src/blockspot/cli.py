@@ -17,9 +17,9 @@ names and whose values must have the setting's type.  Every report embeds
 the effective configuration so runs can be reproduced.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an output
-path that cannot be written), 3 backend configuration errors and requests
-the provider refuses (missing or rejected credentials, an HTTP status other
-than 200 and the retried ones).  A run that fails leaves no output file.
+path that cannot be written), 3 backend configuration errors (also a bad
+endpoint or key) and refused requests (rejected credentials, an HTTP status
+other than 200 and the retried ones).  A run that fails leaves no output file.
 """
 
 from __future__ import annotations

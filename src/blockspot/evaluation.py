@@ -106,7 +106,7 @@ def evaluate(pred: Document, gt: Document, min_iou: float = 0.0) -> EvalReport:
                 iou=value,
                 pred_text=pred_text,
                 gt_substring=found.substring,
-                metrics=compute_metrics(pred_text, found.substring),
+                metrics=compute_metrics(pred_text, found),
             )
         )
 
@@ -148,7 +148,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_to_dict(report), ensure_ascii=False, indent=2)
+    return json.dumps(report_to_dict(report), ensure_ascii=False)
 
 
 _TABLE_ROWS = (

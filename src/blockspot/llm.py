@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Mapping, Protocol
 
 import requests
+from requests.exceptions import InvalidHeader, InvalidSchema, InvalidURL, MissingSchema
 
 from .model import LONE_SURROGATE
 from .prompting import ChatPrompt
@@ -83,12 +84,13 @@ class LlmConfig:
     retry_backoff: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:  # also false for NaN, which json reads
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 < self.max_output_tokens < self.max_context_tokens:
             raise ValueError("need max_context_tokens > max_output_tokens > 0")
-        if self.max_retries < 0 or self.request_timeout <= 0 or self.retry_backoff < 0:
-            raise ValueError("invalid retry/timeout settings")
+        finite = 0 < self.request_timeout < math.inf and 0 <= self.retry_backoff < math.inf
+        if self.max_retries < 0 or not finite:
+            raise ValueError("invalid retry/timeout settings (each must be finite)")
 
 
 @dataclass(frozen=True)
@@ -157,10 +159,10 @@ def complete(
 
 
 class HttpBackend:
-    """OpenAI-style chat-completions client over plain HTTP.
+    """OpenAI-style chat-completions client over plain HTTP; thread-safe.
 
-    Safe for concurrent use: one session shared across threads, no
-    per-request state beyond the call stack.
+    An unusable ``endpoint_url`` or API key is refused; every other transport
+    fault is transient, and a reply whose content is not a string is malformed.
     """
 
     RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -188,7 +190,11 @@ class HttpBackend:
                 headers={"Authorization": f"Bearer {config.api_key}"},
                 timeout=config.request_timeout,
             )
-        except (requests.Timeout, requests.ConnectionError) as e:
+        except (InvalidHeader, UnicodeEncodeError):  # a newline or non-Latin-1 key, quoted in e
+            raise LlmRefusedError("the API key cannot be sent as an HTTP header") from None
+        except (InvalidURL, MissingSchema, InvalidSchema) as e:
+            raise LlmRefusedError(f"bad endpoint_url: {e}") from e
+        except requests.RequestException as e:  # timeouts, drops, bodies cut off
             raise LlmTransientError(str(e)) from e
         if response.status_code in self.AUTH_STATUS:
             raise LlmAuthError(f"authentication rejected (HTTP {response.status_code})")
@@ -203,6 +209,8 @@ class HttpBackend:
             choice = body["choices"][0]
             text = choice["message"]["content"] or ""
             finish = choice.get("finish_reason", "stop")
+            if not isinstance(text, str):
+                raise TypeError(f"content is a {type(text).__name__}, not a string")
         except (ValueError, KeyError, IndexError, TypeError) as e:
             raise LlmRequestError(f"malformed provider response: {e}") from e
         reason = FinishReason.TRUNCATED if finish == "length" else (

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import SequenceMatcher
+from os.path import commonprefix
 
-from .fuzzy import levenshtein
+from .fuzzy import MatchResult, levenshtein
 
 _WINKLER_PREFIX_SCALE = 0.1
 _WINKLER_MAX_PREFIX = 4
@@ -36,24 +37,24 @@ class MetricVector:
                 raise ValueError(f"{name} out of [0, 1]: {v}")
 
 
-def compute_metrics(a: str, b: str) -> MetricVector:
+def compute_metrics(query: str, match: MatchResult) -> MetricVector:
+    """Metrics of ``query`` against ``match.substring``; the NLD reuses
+    ``match.distance``, which ``MatchResult`` guarantees is their edit distance."""
     return MetricVector(
-        nld=normalized_levenshtein(a, b),
-        jaro_winkler=jaro_winkler(a, b),
-        ratcliff_obershelp=ratcliff_obershelp(a, b),
+        nld=match.distance / max(len(query), len(match.substring), 1),
+        jaro_winkler=jaro_winkler(query, match.substring),
+        ratcliff_obershelp=ratcliff_obershelp(query, match.substring),
     )
 
 
 def normalized_levenshtein(a: str, b: str) -> float:
     """Edit distance divided by the longer string's length; 0.0 for two empties."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 0.0
-    return levenshtein(a, b) / longest
+    return levenshtein(a, b) / max(len(a), len(b), 1)
 
 
 def jaro(a: str, b: str) -> float:
-    """Jaro similarity with the standard match window floor(max/2) - 1."""
+    """Jaro similarity with the standard match window floor(max/2) - 1; each
+    character of ``a`` takes the first unmatched equal one of ``b`` in its window."""
     if a == b:
         return 1.0
     la, lb = len(a), len(b)
@@ -61,45 +62,29 @@ def jaro(a: str, b: str) -> float:
         return 0.0
 
     window = max(max(la, lb) // 2 - 1, 0)
-    a_matched = [False] * la
-    b_matched = [False] * lb
-    matches = 0
+    unmatched: list[str | None] = list(b)
+    a_matches = []
     for i, ca in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(lb, i + window + 1)
-        for j in range(lo, hi):
-            if not b_matched[j] and b[j] == ca:
-                a_matched[i] = True
-                b_matched[j] = True
-                matches += 1
-                break
-    if matches == 0:
+        try:
+            j = unmatched.index(ca, max(0, i - window), i + window + 1)
+        except ValueError:
+            continue
+        unmatched[j] = None
+        a_matches.append(ca)
+    m = len(a_matches)
+    if m == 0:
         return 0.0
 
     # transpositions: matched characters compared in order of appearance
-    transpositions = 0
-    k = 0
-    for i in range(la):
-        if a_matched[i]:
-            while not b_matched[k]:
-                k += 1
-            if a[i] != b[k]:
-                transpositions += 1
-            k += 1
-    t = transpositions / 2
-
-    m = matches
+    b_matches = [cb for cb, u in zip(b, unmatched) if u is None]
+    t = sum(ca != cb for ca, cb in zip(a_matches, b_matches)) / 2
     return (m / la + m / lb + (m - t) / m) / 3
 
 
 def jaro_winkler(a: str, b: str) -> float:
     """Jaro similarity boosted by the length of the common prefix (up to 4)."""
     sim = jaro(a, b)
-    prefix = 0
-    for ca, cb in zip(a, b):
-        if ca != cb or prefix >= _WINKLER_MAX_PREFIX:
-            break
-        prefix += 1
+    prefix = len(commonprefix((a[:_WINKLER_MAX_PREFIX], b[:_WINKLER_MAX_PREFIX])))
     return sim + prefix * _WINKLER_PREFIX_SCALE * (1.0 - sim)
 
 

@@ -12,7 +12,7 @@ Schema (UTF-8 JSON)::
       "image_height": int,
       "lines": [
         {"id": int, "vertices": [[x, y], [x, y], [x, y], [x, y]],
-         "text": str, "confidence": float?}
+         "text": str, "confidence": number?}
       ],
       "blocks": [
         {"line_ids": [int, ...], "text": str?}
@@ -37,6 +37,8 @@ from typing import Any, Iterable
 from .geometry import quad_bounds
 
 BOX_MARGIN_PX = 5.0
+# exact JSON value types: bool is an int subclass, and float() takes "10" too
+_INT, _NUMBER = frozenset((int,)), frozenset((int, float))
 
 
 class DocumentError(ValueError):
@@ -281,6 +283,11 @@ def _expect_int(data: dict, key: str) -> int:
     return v
 
 
+def _expect_numbers(values: list, what: str) -> None:
+    if not _NUMBER.issuperset(map(type, values)):
+        raise ValueError(f"{what} must be numbers, got {values!r}")
+
+
 def _expect_list(data: dict, key: str) -> list:
     v = data[key]
     if not isinstance(v, list):
@@ -299,7 +306,9 @@ def _parse_line(obj: Any, index: int, source: str) -> Line:
         if not isinstance(text, str):
             raise ValueError(f"line {line_id}: text must be a string")
         if confidence is not None:
+            _expect_numbers([confidence], "confidence")
             confidence = float(confidence)
+        _expect_numbers([c for point in vertices for c in point], "vertex coordinates")
         box = Quad.from_points(vertices)
         return Line(id=line_id, box=box, text=text, recognizer_confidence=confidence)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
@@ -311,9 +320,7 @@ def _parse_block(obj: Any, index: int, source: str) -> Block:
         raise DocumentError(f"blocks[{index}] must be an object", source=source)
     try:
         line_ids = obj["line_ids"]
-        if not isinstance(line_ids, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in line_ids
-        ):
+        if not isinstance(line_ids, list) or not _INT.issuperset(map(type, line_ids)):
             raise ValueError("line_ids must be a list of integers")
         text = obj.get("text")
         if text is not None and (not isinstance(text, str) or LONE_SURROGATE.search(text)):

@@ -102,6 +102,15 @@ HOSTILE_DOCUMENTS = {
     # JSON escapes of lone surrogates, which UTF-8 output cannot encode
     "lone-surrogate-line-text": _one_line_doc(text='"EX\\ud800IT"'),
     "lone-surrogate-block-text": _one_line_doc(block_text='"EXIT\\udfff"'),
+    # Inputs that once parsed although coordinates and confidence must be numbers.
+    "string-vertex": _one_line_doc(vertex='"10"'),
+    "bool-vertex": _one_line_doc(vertex="true"),
+    "string-confidence": _one_line_doc(confidence='"0.5"'),
+    "mixed-non-numbers": (
+        '{"image_width": 800, "image_height": 600, "lines": [{"id": 1, "vertices": '
+        '[["10", true], ["1e2", 1], [110, " 40 "], [10, 40]], "text": "EXIT", '
+        '"confidence": "0.5"}], "blocks": [{"line_ids": [1]}]}'
+    ),
 }
 
 

@@ -118,6 +118,40 @@ class TestOrder:
         outcomes = json.loads(out.with_suffix(".outcomes.json").read_bytes().decode("utf-8"))
         assert outcomes["outcomes"][0]["strategy"] == "geometric_fallback_error"
 
+    @pytest.mark.parametrize(
+        ("key", "config_text"),
+        [
+            ("test-key", '{"endpoint_url": "not-a-url"}'),
+            ("sk-secret\n", '{"endpoint_url": "STUB"}'),
+            ("sk-secret-\u043a\u043b\u044e\u0447", '{"endpoint_url": "STUB"}'),
+            ("test-key", '{"endpoint_url": "STUB", "temperature": NaN}'),
+            ("test-key", '{"endpoint_url": "STUB", "request_timeout": Infinity}'),
+        ],
+        ids=[
+            "endpoint-not-a-url",
+            "key-with-newline",
+            "non-latin-1-key",
+            "nan-temperature",
+            "infinite-timeout",
+        ],
+    )
+    def test_bad_http_setting_exits_3_without_output(
+        self, tmp_path, sign_fixture, stub_server, monkeypatch, capsys, key, config_text
+    ):
+        monkeypatch.setenv("BLOCKSPOT_API_KEY", key)
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(config_text.replace("STUB", stub_server))
+        out = tmp_path / "out" / "o.json"
+        out.parent.mkdir()
+        argv = ["order", str(doc_path), "--backend", "http", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "sk-secret" not in err
+        assert StubHandler.requests_seen == []
+        assert list(out.parent.iterdir()) == []
+
     @pytest.mark.parametrize("raw", list(HOSTILE_DOCUMENTS.values()), ids=list(HOSTILE_DOCUMENTS))
     def test_hostile_document_exits_2(self, tmp_path, capsys, raw):
         doc_path = tmp_path / "hostile.json"

@@ -17,6 +17,8 @@ from blockspot.evaluation import (
     report_to_dict,
     report_to_json,
 )
+from blockspot import metrics
+from blockspot.fuzzy import levenshtein
 from blockspot.geometry import AlignedRect, quad_bounds
 from blockspot.model import Block, Document, validate_document
 
@@ -206,6 +208,27 @@ class TestEvaluate:
         pair = report.pairs[0]
         assert pair.gt_substring == "CYCLING"
         assert pair.metrics.nld == pytest.approx(1 / 7, abs=1e-12)
+
+    def test_no_edit_distance_outside_the_alignment(self, monkeypatch):
+        # each pair's NLD is the distance its fuzzy alignment already found
+        def forbidden(a, b):
+            raise AssertionError("edit distance recomputed outside best_fuzzy_substring")
+
+        monkeypatch.setattr(metrics, "levenshtein", forbidden)
+        gt = synthetic_gt(6)
+        noisy = doc_with_blocks(
+            list(gt.lines),
+            [Block(line_ids=b.line_ids, text=b.text.lower()[2:]) for b in gt.blocks],
+            width=gt.image_width,
+            height=gt.image_height,
+        )
+        for pred, gold in ((sign_gt(), sign_gt()), (gt, gt), (noisy, gt)):
+            report = evaluate(pred, gold)
+            assert len(report.pairs) == len(gold.blocks)
+            for pair in report.pairs:
+                longest = max(len(pair.pred_text), len(pair.gt_substring), 1)
+                distance = levenshtein(pair.pred_text, pair.gt_substring)
+                assert pair.metrics.nld == distance / longest
 
     def test_scale_invariance_of_matching_and_metrics(self):
         def scaled(doc, factor):

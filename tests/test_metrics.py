@@ -1,10 +1,12 @@
 """Metric tests against independent reference implementations.
 
 The Jaro-Winkler reference below is written from the definition with a
-different structure (explicit match lists).  The library computes
-Ratcliff-Obershelp with difflib's SequenceMatcher; its reference here is a
-direct leftmost-longest common substring decomposition, which must give
-the same float bit for bit.
+different structure (explicit match lists).  ``jaro_window_loop`` and
+``winkler_prefix_loop`` are the library's former window-scanning Jaro and
+prefix loop, kept as a second reference that the library must equal bit
+for bit.  The library computes Ratcliff-Obershelp with difflib's
+SequenceMatcher; its reference here is a direct leftmost-longest common
+substring decomposition, which must give the same float bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockspot.fuzzy import best_fuzzy_substring
 from blockspot.metrics import (
     MetricVector,
     compute_metrics,
@@ -56,6 +59,57 @@ def jaro_winkler_reference(a: str, b: str) -> float:
     while ell < min(4, len(a), len(b)) and a[ell] == b[ell]:
         ell += 1
     return j_sim + ell * 0.1 * (1 - j_sim)
+
+
+def jaro_window_loop(a: str, b: str) -> float:
+    """Jaro with boolean match lists and a Python scan of each window."""
+    if a == b:
+        return 1.0
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return 0.0
+
+    window = max(max(la, lb) // 2 - 1, 0)
+    a_matched = [False] * la
+    b_matched = [False] * lb
+    matches = 0
+    for i, ca in enumerate(a):
+        lo = max(0, i - window)
+        hi = min(lb, i + window + 1)
+        for j in range(lo, hi):
+            if not b_matched[j] and b[j] == ca:
+                a_matched[i] = True
+                b_matched[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+
+    # transpositions: matched characters compared in order of appearance
+    transpositions = 0
+    k = 0
+    for i in range(la):
+        if a_matched[i]:
+            while not b_matched[k]:
+                k += 1
+            if a[i] != b[k]:
+                transpositions += 1
+            k += 1
+    t = transpositions / 2
+
+    m = matches
+    return (m / la + m / lb + (m - t) / m) / 3
+
+
+def winkler_prefix_loop(a: str, b: str) -> float:
+    """Jaro-Winkler over :func:`jaro_window_loop` with a hand-written prefix loop."""
+    sim = jaro_window_loop(a, b)
+    prefix = 0
+    for ca, cb in zip(a, b):
+        if ca != cb or prefix >= 4:
+            break
+        prefix += 1
+    return sim + prefix * 0.1 * (1.0 - sim)
 
 
 def nld_reference(a: str, b: str) -> float:
@@ -168,7 +222,31 @@ class TestJaroWinkler:
         for _ in range(500):
             a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 20)))
             b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 20)))
-            assert jaro_winkler(a, b) == pytest.approx(jaro_winkler_reference(a, b), abs=1e-12)
+            assert jaro_winkler(a, b) == jaro_winkler_reference(a, b)
+
+    def test_long_windows_equal_window_loop(self):
+        # hypothesis favours short strings; these reach windows of 74-149
+        rng = random.Random(5)
+        for alphabet in ("ab", ALPHABET, "e\u0301\U0001f600\U00010348 "):
+            for _ in range(10):
+                a = "".join(rng.choice(alphabet) for _ in range(rng.randint(150, 300)))
+                b = "".join(rng.choice(alphabet) for _ in range(rng.randint(150, 300)))
+                assert jaro_winkler(a, b) == winkler_prefix_loop(a, b)
+
+    @given(
+        st.sampled_from(["ab", ALPHABET, "e\u0301\U0001f600\U00010348 "]).flatmap(
+            lambda alphabet: st.tuples(
+                st.text(alphabet=alphabet, max_size=300), st.text(alphabet=alphabet, max_size=300)
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_window_loop_bit_for_bit(self, pair):
+        # lengths up to 300 give match windows from 0 to 149; the 2-letter
+        # alphabet makes every window hold many equal candidates
+        a, b = pair
+        assert jaro(a, b) == jaro_window_loop(a, b)
+        assert jaro_winkler(a, b) == winkler_prefix_loop(a, b)
 
 
 class TestRatcliffObershelp:
@@ -229,8 +307,22 @@ class TestProperties:
             assert fn(a, b) == pytest.approx(fn(b, a), abs=1e-12)
 
     def test_vector_identical_strings(self):
-        v = compute_metrics("20 REASONS TO LOVE CYCLING", "20 REASONS TO LOVE CYCLING")
+        text = "20 REASONS TO LOVE CYCLING"
+        v = compute_metrics(text, best_fuzzy_substring(text, text))
         assert (v.nld, v.jaro_winkler, v.ratcliff_obershelp) == (0.0, 1.0, 1.0)
+
+    @given(
+        st.sampled_from(["ab", ALPHABET, "e\u0301\U0001f600 "]).flatmap(
+            lambda alphabet: st.tuples(
+                st.text(alphabet=alphabet, max_size=30), st.text(alphabet=alphabet, max_size=80)
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_vector_nld_is_match_distance(self, pair):
+        query, corpus = pair
+        match = best_fuzzy_substring(query, corpus)
+        assert compute_metrics(query, match).nld == normalized_levenshtein(query, match.substring)
 
     def test_vector_bounds_enforced(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+import requests
 from conftest import StubHandler, make_line, sign_doc, synthetic_gt
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,33 @@ class CountingBackend(ScriptedBackend):
         self.keys_seen.append(key)
         self.prompts_seen.append(prompt)
         return super().send(prompt, cfg, key)
+
+
+class FaultySession:
+    """Stands in for ``requests.Session``: every post ends in ``fault()``."""
+
+    def __init__(self, fault):
+        self.fault = fault
+        self.posts = 0
+
+    def post(self, *args, **kwargs):
+        self.posts += 1
+        return self.fault()
+
+
+def cut_off_body():
+    raise requests.exceptions.ChunkedEncodingError("Connection broken: IncompleteRead")
+
+
+def list_content():
+    """A 200 reply whose content is a list of parts, not a string."""
+    parts = [{"type": "text", "text": "20 REASONS TO LOVE CYCLING"}]
+    response = requests.Response()
+    response.status_code = 200
+    response._content = json.dumps(
+        {"choices": [{"message": {"content": parts}, "finish_reason": "stop"}]}
+    ).encode()
+    return response
 
 
 class TestPlanRecognition:
@@ -373,6 +402,17 @@ class TestRun:
             run(synthetic_gt(60), HttpBackend(), config(endpoint_url=stub_server))
         # only the blocks already sending when the first refusal came back
         assert 1 <= len(StubHandler.requests_seen) <= pipeline._BACKEND_WORKERS
+
+    @pytest.mark.parametrize(
+        ("fault", "posts"), [(cut_off_body, 4), (list_content, 1)], ids=["cut-off", "list"]
+    )
+    def test_http_faults_fall_back_per_block(self, fault, posts):
+        # a body cut off mid-transfer is retried; a malformed reply is not
+        session = FaultySession(fault)
+        out, outcomes = run(sign_doc(), HttpBackend(session), config(max_retries=3))
+        assert [o.strategy for o in outcomes] == [Strategy.GEOMETRIC_FALLBACK_ERROR]
+        assert out.blocks[0].text == "TO LOVE CYCLING 20 REASONS"
+        assert session.posts == posts
 
     def test_block_key_format(self):
         assert block_key(0) == "block-0"
