@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -115,6 +116,8 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             setattr(settings, f.name, flag_value)
+    if not math.isfinite(settings.min_iou):
+        raise BackendConfigError(f"min_iou must be finite, got {settings.min_iou}")
     return settings
 
 

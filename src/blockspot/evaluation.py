@@ -11,7 +11,9 @@ averaged without weighting over the matched pairs.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .fuzzy import best_fuzzy_substring
@@ -67,15 +69,28 @@ def match_blocks(
     Returns (pred_index, gt_index, iou) triples; predictions whose best
     IoU is <= min_iou are dropped.  Equal IoUs resolve to the smallest
     ground-truth index.
+
+    A sorted sweep finds the candidates: ground-truth hulls are ordered by
+    ``y_min`` and ``reach`` is the running maximum of their ``y_max``.  The
+    hulls before ``bisect_right(reach, y_min)`` end at or above the
+    prediction and those from ``bisect_left(tops, y_max)`` on start at or
+    below it, so all of them have IoU 0.  The window uses comparisons
+    only, so it is exact.  Candidates are scanned in ground-truth index
+    order.  A hull as tall as the page widens every window to the whole
+    list, which is P x G work again but still correct.
     """
     gt_hulls = [block_hull(gt, block) for block in gt.blocks]
+    order = sorted(range(len(gt_hulls)), key=lambda g: gt_hulls[g].y_min)
+    tops = [gt_hulls[g].y_min for g in order]
+    reach = list(accumulate((gt_hulls[g].y_max for g in order), max))
     matches = []
     for p, block in enumerate(pred.blocks):
         hull = block_hull(pred, block)
         best_iou = 0.0
         best_g = -1
-        for g, gt_hull in enumerate(gt_hulls):
-            value = quad_iou(hull, gt_hull)
+        lo, hi = bisect_right(reach, hull.y_min), bisect_left(tops, hull.y_max)
+        for g in sorted(order[lo:hi]):
+            value = quad_iou(hull, gt_hulls[g])
             if value > best_iou:
                 best_iou = value
                 best_g = g

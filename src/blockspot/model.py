@@ -29,7 +29,7 @@ import enum
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
@@ -60,11 +60,13 @@ class Quad:
     """Convex quadrilateral, counter-clockwise winding, positive area."""
 
     vertices: tuple[tuple[float, float], ...]
+    # ``_corner_crosses(vertices)`` when the caller has computed it already
+    _crosses: InitVar[list[float] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _crosses: list[float] | None) -> None:
         if len(self.vertices) != 4:
             raise ValueError(f"quad needs 4 vertices, got {len(self.vertices)}")
-        crosses = _corner_crosses(self.vertices)
+        crosses = _corner_crosses(self.vertices) if _crosses is None else _crosses
         area4 = sum(crosses)
         if not math.isfinite(area4):
             raise ValueError(f"non-finite vertex in {self.vertices}")
@@ -77,9 +79,14 @@ class Quad:
     def from_points(cls, points: Iterable[Iterable[float]]) -> "Quad":
         """Build a quad, flipping clockwise input to the canonical winding."""
         pts = tuple((float(x), float(y)) for x, y in points)
-        if len(pts) == 4 and sum(_corner_crosses(pts)) < 0:
+        if len(pts) != 4:
+            return cls(pts)
+        crosses = _corner_crosses(pts)
+        if sum(crosses) < 0:
+            # reversing the winding negates every cross exactly and permutes them
             pts = (pts[0], pts[3], pts[2], pts[1])
-        return cls(pts)
+            crosses = [-crosses[2], -crosses[1], -crosses[0], -crosses[3]]
+        return cls(pts, crosses)
 
 
 def _corner_crosses(vertices: tuple[tuple[float, float], ...]) -> list[float]:

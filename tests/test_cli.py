@@ -235,6 +235,31 @@ class TestEval:
         assert main(["eval", str(gt_path), str(gt_path), "--min-iou", "0.99"]) == 0
         assert "matched pairs: 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_min_iou_flag_exits_3(self, tmp_path, capsys, value):
+        # best_iou > nan never holds, so a NaN cut would match nothing and exit 0
+        gt_path = tmp_path / "gt.json"
+        save_document(sign_gt(), gt_path)
+        report_path = tmp_path / "report.json"
+        argv = ["eval", str(gt_path), str(gt_path), f"--min-iou={value}", "--out", str(report_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "min_iou" in err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("config_text", ['{"min_iou": NaN}', '{"min_iou": Infinity}'])
+    def test_non_finite_min_iou_config_exits_3(self, tmp_path, capsys, config_text):
+        gt_path = tmp_path / "gt.json"
+        save_document(sign_gt(), gt_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(config_text)
+        report_path = tmp_path / "report.json"
+        argv = ["eval", str(gt_path), str(gt_path), "--config", str(config), "--out", str(report_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "min_iou" in err
+        assert not report_path.exists()
+
 
 class TestFuzzy:
     def test_two_stage_match(self, capsys):

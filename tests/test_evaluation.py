@@ -7,8 +7,11 @@ import random
 
 import pytest
 from conftest import make_line, sign_gt, synthetic_gt
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_geometry import convex_iou
 
+from blockspot import evaluation
 from blockspot.evaluation import (
     block_hull,
     evaluate,
@@ -19,7 +22,7 @@ from blockspot.evaluation import (
 )
 from blockspot import metrics
 from blockspot.fuzzy import levenshtein
-from blockspot.geometry import AlignedRect, quad_bounds
+from blockspot.geometry import AlignedRect, quad_bounds, rect_iou
 from blockspot.model import Block, Document, validate_document
 
 
@@ -78,6 +81,55 @@ def oracle_matches(pred, gt):
         if best_g >= 0:
             matches.append((p, best_g, best_iou))
     return matches
+
+
+def pxg_matches(pred, gt, min_iou=0.0):
+    """The P x G matcher the sorted sweep replaced: every prediction hull
+    against every ground-truth hull."""
+    gt_hulls = [block_hull(gt, block) for block in gt.blocks]
+    matches = []
+    for p, block in enumerate(pred.blocks):
+        hull = block_hull(pred, block)
+        best_iou = 0.0
+        best_g = -1
+        for g, gt_hull in enumerate(gt_hulls):
+            value = rect_iou(hull, gt_hull)
+            if value > best_iou:
+                best_iou = value
+                best_g = g
+        if best_g >= 0 and best_iou > min_iou:
+            matches.append((p, best_g, best_iou))
+    return matches
+
+
+def rect_doc(rects):
+    """One single-line block per (x0, y0, x1, y1) rectangle."""
+    return Document(
+        image_width=1,
+        image_height=1,
+        lines=tuple(make_line(i, *r) for i, r in enumerate(rects)),
+        blocks=tuple(Block(line_ids=(i,), text="x") for i in range(len(rects))),
+    )
+
+
+@st.composite
+def hull_sets(draw):
+    """(gt, pred) rectangles whose coordinates come from one small pool of
+    integers and floats, so shared edges, nesting and duplicates are common;
+    sometimes with one ground-truth hull as tall as the pool."""
+    scale = draw(st.sampled_from([1e-7, 1.0, 1e7]))
+    values = st.one_of(st.integers(0, 6).map(float), st.floats(1.0, 1e3))
+    pool = sorted({v * scale for v in draw(st.lists(values, min_size=2, max_size=8))})
+    if len(pool) < 2:
+        pool.append(pool[0] * 2 + 1.0)
+    span = st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True).map(sorted)
+    rect = st.builds(lambda xs, ys: (xs[0], ys[0], xs[1], ys[1]), span, span)
+    gt = draw(st.lists(rect, max_size=12))
+    pred = draw(st.lists(st.one_of(rect, st.sampled_from(gt)) if gt else rect, max_size=12))
+    if draw(st.booleans()):
+        xs = draw(span)
+        gt.insert(draw(st.integers(0, len(gt))), (xs[0], pool[0], xs[1], pool[-1]))
+    return gt, pred
 
 
 def jittered_prediction(gt, rng):
@@ -183,6 +235,42 @@ class TestMatchBlocks:
         assert [(p, g) for p, g, _ in got] == [(p, g) for p, g, _ in want]
         for (_, _, a), (_, _, b) in zip(got, want):
             assert abs(a - b) <= 1e-9
+
+    @settings(max_examples=500, deadline=None)
+    @given(hull_sets(), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_same_triples_as_pxg_matcher(self, hulls, min_iou):
+        gt_rects, pred_rects = hulls
+        pred, gt = rect_doc(pred_rects), rect_doc(gt_rects)
+        assert match_blocks(pred, gt, min_iou) == pxg_matches(pred, gt, min_iou)
+
+    def test_touching_nested_and_tall_hulls(self):
+        gt = rect_doc([(0, 10, 10, 20), (0, 0, 10, 10), (2, 2, 8, 8), (0, 10, 10, 20), (20, 0, 21, 100)])
+        pred = rect_doc(
+            [(0, 20, 10, 30), (10, 0, 20, 10), (0, 5, 10, 15), (2, 2, 8, 8), (0, 10, 10, 20), (19, 40, 22, 60)]
+        )
+        got = match_blocks(pred, gt)
+        assert got == pxg_matches(pred, gt)
+        # hulls sharing only an edge do not match; prediction 2 overlaps ground
+        # truth 0, 1 and 3 equally and goes to 0 although 1 starts higher up
+        assert [(p, g) for p, g, _ in got] == [(2, 0), (3, 2), (4, 0), (5, 4)]
+        assert match_blocks(rect_doc([]), gt) == match_blocks(pred, rect_doc([])) == []
+
+    def test_window_excludes_hulls_sharing_an_edge(self, monkeypatch):
+        gt = rect_doc([(0, 0, 10, 10), (0, 10, 10, 20), (0, 20, 10, 30)])
+        pred = rect_doc([(0, 10, 10, 20)])
+        calls = []
+        monkeypatch.setattr(evaluation, "quad_iou", lambda a, b: calls.append(b) or rect_iou(a, b))
+        assert match_blocks(pred, gt) == [(0, 1, 1.0)]
+        assert calls == [AlignedRect(0, 10, 10, 20)]
+
+    def test_sweep_skips_most_pairs(self, monkeypatch):
+        gt = synthetic_gt(300)
+        pred = jittered_prediction(gt, random.Random(3))
+        want = pxg_matches(pred, gt)
+        calls = []
+        monkeypatch.setattr(evaluation, "quad_iou", lambda a, b: calls.append(1) or rect_iou(a, b))
+        assert match_blocks(pred, gt) == want
+        assert 0 < len(calls) < 0.1 * len(pred.blocks) * len(gt.blocks)
 
 
 class TestEvaluate:

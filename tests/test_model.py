@@ -19,6 +19,7 @@ from blockspot.model import (
     DocumentKind,
     Line,
     Quad,
+    _corner_crosses,
     load_document,
     parse_document,
     serialize_document,
@@ -352,6 +353,70 @@ class TestQuadMatchesReference:
         coords[slot] = bad
         points = list(zip(coords[::2], coords[1::2]))
         assert quad_decision(points) == reference_quad(points) == ("non-finite", None)
+
+
+def two_pass_quad(points, flip=True):
+    """``Quad.from_points`` (or with ``flip=False`` ``Quad(...)``) as it was
+    when the crosses were computed twice: once for the winding flip, once
+    more on the vertices kept."""
+    pts = tuple((float(x), float(y)) for x, y in points)
+    if flip and len(pts) == 4 and sum(_corner_crosses(pts)) < 0:
+        pts = (pts[0], pts[3], pts[2], pts[1])
+    if len(pts) != 4:
+        raise ValueError(f"quad needs 4 vertices, got {len(pts)}")
+    crosses = _corner_crosses(pts)
+    area4 = sum(crosses)
+    if not math.isfinite(area4):
+        raise ValueError(f"non-finite vertex in {pts}")
+    if area4 <= 0:
+        raise ValueError("quad vertices must wind counter-clockwise with area > 0")
+    if min(crosses) < -1e-9 * max(crosses):
+        raise ValueError("quad is not convex")
+    return pts
+
+
+def outcome(build, points):
+    try:
+        return "ok", build(points)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def _with_bad_coordinate(points, slot, bad):
+    coords = [c for p in points for c in p]
+    coords[slot % len(coords)] = bad
+    return list(zip(coords[::2], coords[1::2]))
+
+
+_ANY_QUAD = st.one_of(
+    _quads(_INT),
+    _quads(st.floats(-1e6, 1e6, allow_nan=False)),
+    _collinear(st.integers(-(2**18), 2**18)),
+    _kites(st.floats(1.0, 1e6)),
+    st.builds(
+        _with_bad_coordinate,
+        _quads(_INT),
+        st.integers(0, 7),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
+    st.lists(st.tuples(_INT, _INT), max_size=6),
+)
+
+
+class TestQuadMatchesTwoPass:
+    """Crosses computed once, and permuted on a flip, decide as two passes did."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_ANY_QUAD)
+    def test_from_points(self, points):
+        assert outcome(lambda q: Quad.from_points(q).vertices, points) == outcome(two_pass_quad, points)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_ANY_QUAD)
+    def test_direct_construction(self, points):
+        # Quad(...) keeps the vertices given, so clockwise input is rejected
+        pts = tuple((float(x), float(y)) for x, y in points)
+        assert outcome(lambda q: Quad(q).vertices, pts) == outcome(lambda q: two_pass_quad(q, flip=False), pts)
 
 
 class TestText:
