@@ -66,6 +66,13 @@ def _write(path: Path, data: bytes) -> None:
         raise InputError(f"cannot write output: {e}") from e
 
 
+def _check_writable(path: Path) -> None:
+    if path.is_dir():
+        raise InputError(f"cannot write output {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise InputError(f"cannot write output {path}: no directory {path.parent}")
+
+
 @dataclass
 class Settings:
     """Effective run settings after flag/env/file merging."""
@@ -173,12 +180,11 @@ def cmd_order(args: argparse.Namespace) -> int:
     backend = _make_backend(settings, config)
     doc = load_document(args.input, DocumentKind.PREDICTION)
     out_path = Path(args.out)
+    _check_writable(out_path)  # before with_suffix, which fails on "." and "/"
     outcomes_path = Path(args.outcomes) if args.outcomes else out_path.with_suffix(
         ".outcomes.json"
     )
-    for path in (out_path, outcomes_path):
-        if not path.parent.is_dir():
-            raise InputError(f"cannot write output {path}: no directory {path.parent}")
+    _check_writable(outcomes_path)
 
     out_doc, outcomes = run(doc, backend, config)
 

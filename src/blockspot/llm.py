@@ -239,7 +239,9 @@ class ScriptedBackend:
             text = self._replies[key]
         except KeyError:
             raise LlmRequestError(f"no scripted reply for key {key!r}") from None
-        return LlmReply(text=text, finish_reason=FinishReason.COMPLETE)
+        # an empty reply is an error reply, as HttpBackend reads one
+        reason = FinishReason.COMPLETE if text.strip() else FinishReason.ERROR
+        return LlmReply(text=text, finish_reason=reason)
 
 
 def prompt_fingerprint(prompt: ChatPrompt) -> str:

@@ -8,8 +8,11 @@ the geometric order joined with spaces, while a request the provider
 refuses fails the whole run.  Every block always ends up with a text and
 an :class:`OrderingOutcome` explaining which strategy produced it.
 :func:`run` orders the blocks in a plain loop when there is no backend
-(the work is pure Python, which threads cannot speed up) and in a small
-thread pool when there is one, so that provider waits overlap.
+(the work is pure Python, which threads cannot speed up).  With a backend
+it times each block that sent a request and keeps the blocks in a small
+thread pool, so that provider waits overlap, until a run of that backend
+shows its sends do not wait (an offline replay or a scripted backend);
+from then on that backend's blocks are ordered in the plain loop too.
 
 The recognizer side is an interface: :func:`plan_recognition` describes the
 rotate/crop/split work per line, an external engine fills in part texts,
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import enum
 import threading
+import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Sequence
@@ -46,9 +51,17 @@ from .prompting import (
     length_guard,
 )
 
-# Blocks in flight at once when a backend is set; only provider waits
-# overlap, because the GIL serializes the pure-Python work around them.
+# Blocks in flight at once while a backend's sends wait; only provider
+# waits overlap, because the GIL serializes the pure-Python work around
+# them.  A backend whose last run had a median wait (wall minus thread CPU
+# time per sending block) of at most _WAIT_S is in _IDLE_BACKENDS and gets
+# no pool: 2 ms lies above a pooled replay run's median (under 0.25 ms in
+# 99% of runs on a 2-vCPU VM) and below a real provider round trip.  A
+# median, because host noise alone can hold one serial block off the CPU
+# for several milliseconds.
 _BACKEND_WORKERS = 4
+_WAIT_S = 0.002
+_IDLE_BACKENDS: weakref.WeakSet = weakref.WeakSet()
 
 
 class PipelineError(RuntimeError):
@@ -62,6 +75,12 @@ class Strategy(enum.Enum):
     GEOMETRIC_FALLBACK_ERROR = "geometric_fallback_error"
     SINGLE_LINE = "single_line"
     GEOMETRIC_ONLY = "geometric_only"  # LLM disabled by configuration
+
+
+# the strategies of blocks whose request reached the backend
+_SENT = frozenset(
+    {Strategy.LLM, Strategy.GEOMETRIC_FALLBACK_LENGTH, Strategy.GEOMETRIC_FALLBACK_ERROR}
+)
 
 
 @dataclass(frozen=True)
@@ -254,6 +273,27 @@ def order_block(
     )
 
 
+def _is_idle(backend: LlmBackend) -> bool:
+    try:
+        return backend in _IDLE_BACKENDS
+    except TypeError:  # unhashable: never remembered, always pooled
+        return False
+
+
+def _remember(backend: LlmBackend, waits: list[float]) -> None:
+    """Record whether this run's sends waited; a run that sent nothing says nothing."""
+    if not waits:
+        return
+    median_wait = sorted(waits)[len(waits) // 2]
+    try:
+        if median_wait <= _WAIT_S:
+            _IDLE_BACKENDS.add(backend)
+        else:
+            _IDLE_BACKENDS.discard(backend)
+    except TypeError:  # not hashable or not weak-referenceable
+        pass
+
+
 def run(
     doc: Document,
     backend: LlmBackend | None,
@@ -263,12 +303,16 @@ def run(
 
     Lines outside any block are appended as singleton blocks (in line
     order) so the output covers every detected line.  Without a backend
-    the blocks are ordered in a plain loop; with one, a fixed pool of
-    threads overlaps the provider waits.  Results are merged back in block
-    order either way, so a deterministic backend gives a deterministic
-    output.  An :class:`LlmRefusedError` from any block stops the blocks
-    not yet started and is re-raised as is; other exceptions are invariant
-    violations, gathered into one :class:`PipelineError`.
+    the blocks are ordered in a plain loop.  With one, each block that
+    sent a request is timed (wall minus thread CPU time): a backend whose
+    last run had a median wait of at most ``_WAIT_S`` is ordered in the
+    plain loop too, and every other one (a new one, one whose sends
+    waited, or one that cannot be hashed or weakly referenced) in a fixed
+    pool of threads that overlaps the provider waits.  Results are merged
+    back in block order either way, so a deterministic backend gives a
+    deterministic output.  An :class:`LlmRefusedError` from any block stops
+    the blocks not yet started and is re-raised as is; other exceptions are
+    invariant violations, gathered into one :class:`PipelineError`.
     """
     blocks = list(doc.blocks)
     blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
@@ -285,12 +329,25 @@ def run(
                 refused.set()
             return e
 
+    waits: list[float] = []
+
+    def timed(item: tuple[int, Block]) -> OrderingOutcome | Exception | None:
+        wall, cpu = time.perf_counter(), time.thread_time()
+        result = work(item)
+        if isinstance(result, OrderingOutcome) and result.strategy in _SENT:
+            waits.append(time.perf_counter() - wall - (time.thread_time() - cpu))
+        return result
+
     items = list(enumerate(blocks))
-    if backend is not None and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=_BACKEND_WORKERS) as pool:
-            results = list(pool.map(work, items))
-    else:
+    if backend is None:
         results = [work(item) for item in items]
+    else:
+        if len(items) > 1 and not _is_idle(backend):
+            with ThreadPoolExecutor(max_workers=_BACKEND_WORKERS) as pool:
+                results = list(pool.map(timed, items))
+        else:
+            results = [timed(item) for item in items]
+        _remember(backend, waits)
 
     if refused.is_set():
         raise next(r for r in results if isinstance(r, LlmRefusedError))

@@ -167,6 +167,17 @@ class TestOrder:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --concurrency" in capsys.readouterr().err
 
+    def test_empty_scripted_reply_falls_back(self, tmp_path, sign_fixture, capsys):
+        doc_path, replies = sign_fixture
+        replies.write_text(json.dumps({"block-0": ""}))
+        out = tmp_path / "o.json"
+        argv = ["order", str(doc_path), "--backend", f"scripted:{replies}", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["blocks"][0]["text"] == "TO LOVE CYCLING 20 REASONS"
+        outcomes = json.loads(out.with_suffix(".outcomes.json").read_text())
+        assert outcomes["outcomes"][0]["strategy"] == "geometric_fallback_error"
+        assert "geometric_fallback_error: 1" in capsys.readouterr().out
+
     def test_deterministic_across_runs(self, tmp_path, sign_fixture):
         doc_path, replies = sign_fixture
         payloads = set()
@@ -317,6 +328,17 @@ class TestBadPaths:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", [".", "/", "{tmp}"], ids=["dot", "root", "directory"])
+    def test_out_without_a_file_name_exits_2(
+        self, tmp_path, sign_fixture, capsys, monkeypatch, out
+    ):
+        pred_path, _ = sign_fixture
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["order", str(pred_path), "--out", out.format(tmp=tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestPrompt:

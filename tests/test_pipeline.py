@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
 import threading
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -373,11 +376,12 @@ class TestRun:
 
     def test_serial_and_concurrent_agree(self, monkeypatch):
         doc = self.make_doc()
-        backend = ScriptedBackend({"block-0": "alpha one alpha two", "block-1": "beta one beta two"})
+        replies = {"block-0": "alpha one alpha two", "block-1": "beta one beta two"}
+        # a new backend each time: a reused one would skip the pool
         monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 1)
-        serial = run(doc, backend, config())
+        serial = run(doc, ScriptedBackend(replies), config())
         monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 8)
-        concurrent = run(doc, backend, config())
+        concurrent = run(doc, ScriptedBackend(replies), config())
         assert serial == concurrent
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -431,6 +435,136 @@ class TestRun:
             run(doc, None, config())
         assert "block 0" in str(err.value)
         assert "block 1" in str(err.value)
+
+
+class TestPoolPolicy:
+    """``run`` pools a backend's blocks only while its sends wait."""
+
+    @staticmethod
+    def replies(doc):
+        return {block_key(i): b.text for i, b in enumerate(doc.blocks)}
+
+    def test_reused_scripted_backend_starts_no_pool(self, monkeypatch):
+        doc = synthetic_gt(11)
+        backend = ScriptedBackend(self.replies(doc))
+        first = run(doc, backend, config())
+
+        def no_pool(*a, **k):
+            raise AssertionError("a backend whose sends never wait got a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        assert run(doc, backend, config()) == first
+
+    class Delayed:
+        """Sleeps ``delay`` s per send; records sending threads and the peak in flight."""
+
+        def __init__(self, delay):
+            self.delay = delay
+            self.in_flight = 0
+            self.peak = 0
+            self.threads = set()
+            self.lock = threading.Lock()
+
+        def send(self, prompt, cfg, key):
+            with self.lock:
+                self.in_flight += 1
+                self.peak = max(self.peak, self.in_flight)
+                self.threads.add(threading.get_ident())
+            time.sleep(self.delay)  # a provider round trip
+            with self.lock:
+                self.in_flight -= 1
+            return LlmReply(text="reply")
+
+        def run(self, doc):
+            self.peak, self.threads = 0, set()
+            run(doc, self, config())
+            return self
+
+    def test_waiting_backend_keeps_the_pool(self):
+        doc = synthetic_gt(30)
+        # 10 two-line blocks that send, 40 lines left as singletons that do not
+        doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2))
+        backend = self.Delayed(0.020)
+        peaks = [backend.run(doc).peak for _ in range(3)]
+        assert peaks[1] >= 2 and peaks[2] >= 2
+
+    def test_backend_that_starts_waiting_gets_the_pool_back(self):
+        doc = synthetic_gt(11)
+        backend = self.Delayed(0.0).run(doc)
+        assert backend.run(doc).threads == {threading.get_ident()}  # idle: plain loop
+        backend.delay = 0.020
+        assert backend.run(doc).threads == {threading.get_ident()}  # measured waiting
+        assert threading.get_ident() not in backend.run(doc).threads
+        assert backend.peak >= 2
+
+    def test_every_sending_block_is_timed(self, monkeypatch):
+        # pool workers append to one list: a lost update would drop a wait
+        seen = []
+        monkeypatch.setattr(pipeline, "_remember", lambda backend, waits: seen.append(waits))
+        monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 8)
+        doc = synthetic_gt(90)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, outcomes = run(doc, self.Delayed(0.0), config())
+        finally:
+            sys.setswitchinterval(switch)
+        sent = [o for o in outcomes if o.strategy in pipeline._SENT]
+        assert len(sent) == 60 and len(seen) == 1 and len(seen[0]) == 60
+
+    @pytest.mark.parametrize("kind", ["slots", "unhashable"])
+    def test_unrememberable_backend_gives_order_block_outcomes(self, kind):
+        doc = synthetic_gt(11)
+        replies = self.replies(doc)
+
+        class Slotted:  # no __weakref__ slot: cannot be weakly referenced
+            __slots__ = ("replies",)
+
+            def __init__(self, replies):
+                self.replies = replies
+
+            def send(self, prompt, cfg, key):
+                return LlmReply(text=self.replies[key])
+
+        @dataclass
+        class Unhashable:  # eq without frozen sets __hash__ to None
+            replies: dict
+
+            def send(self, prompt, cfg, key):
+                return LlmReply(text=self.replies[key])
+
+        backend = Slotted(replies) if kind == "slots" else Unhashable(replies)
+        expected = [
+            order_block(doc, block, backend, config(), block_index=i)
+            for i, block in enumerate(doc.blocks)
+        ]
+        for _ in range(2):  # the second run looks the backend up
+            out, outcomes = run(doc, backend, config())
+            assert outcomes == expected
+            assert [b.text for b in out.blocks] == [o.block_text for o in expected]
+
+    def test_refusal_after_an_idle_run_sends_one_request(self):
+        doc = synthetic_gt(11)
+
+        class TurnsRefusing:
+            def __init__(self, replies):
+                self.replies = replies
+                self.refusing = False
+                self.sends = 0
+
+            def send(self, prompt, cfg, key):
+                self.sends += 1
+                if self.refusing:
+                    time.sleep(0.010)  # long enough for pooled blocks to send too
+                    raise LlmRefusedError("request refused (HTTP 404)")
+                return LlmReply(text=self.replies[key])
+
+        backend = TurnsRefusing(self.replies(doc))
+        run(doc, backend, config())
+        backend.refusing, backend.sends = True, 0
+        with pytest.raises(LlmRefusedError, match="HTTP 404"):
+            run(doc, backend, config())
+        assert backend.sends == 1
 
 
 class TestReplayMatchesLive:
