@@ -17,9 +17,11 @@ names and whose values must have the setting's type.  Every report embeds
 the effective configuration so runs can be reproduced.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an output
-path that cannot be written), 3 backend configuration errors (also a bad
-endpoint or key) and refused requests (rejected credentials, an HTTP status
-other than 200 and the retried ones).  A run that fails leaves no output file.
+path that cannot be written, and ``order --outcomes`` naming the ``--out``
+file) and a block that violated an ordering invariant (``PipelineError``),
+3 backend configuration errors (also a bad endpoint or key) and refused
+requests (rejected credentials, an HTTP status other than 200 and the
+retried ones).  A run that fails leaves no output file.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,7 +47,7 @@ from .llm import (
     ScriptedBackend,
 )
 from .model import DocumentError, DocumentKind, load_document, serialize_document
-from .pipeline import build_block_prompt, run
+from .pipeline import PipelineError, build_block_prompt, run
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -185,6 +188,8 @@ def cmd_order(args: argparse.Namespace) -> int:
         ".outcomes.json"
     )
     _check_writable(outcomes_path)
+    if os.path.realpath(outcomes_path) == os.path.realpath(out_path):
+        raise InputError(f"--outcomes {outcomes_path} is the --out file {out_path}")
 
     out_doc, outcomes = run(doc, backend, config)
 
@@ -317,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, InputError) as e:
+    except (DocumentError, InputError, PipelineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (BackendConfigError, LlmRefusedError) as e:

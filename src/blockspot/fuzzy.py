@@ -2,12 +2,14 @@
 
 The best fuzzy substring match of ``query`` in ``corpus`` is the substring
 of ``corpus`` with the lowest Levenshtein distance to ``query``.
-:func:`best_fuzzy_substring` finds it exactly with the bit-parallel edit DP
-of Myers (1999): a search pass over the reversed strings gives the best
-distance for every start, and one anchored pass (Hyyrö 2003) from the
-smallest winning start gives the shortest winning end.  The result is the
-same as literally enumerating all substrings, in O(len(corpus)) big-integer
-steps per pass.
+:func:`best_fuzzy_substring` first looks for an exact occurrence with
+``str.find`` and returns the first one at distance 0.  Only when ``query``
+does not occur does it run the bit-parallel edit DP of Myers (1999): a
+search pass over the reversed strings gives the best distance for every
+start, and one anchored pass (Hyyrö 2003) from the smallest winning start
+gives the shortest winning end.  Either way the result is the same as
+literally enumerating all substrings; the DP takes O(len(corpus))
+big-integer steps per pass.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def _edit_row(pattern: str, text: str, free_start: bool) -> list[int]:
     follows the high bit.
     """
     m = len(pattern)
-    if not m:
-        return [0] * (len(text) + 1) if free_start else list(range(len(text) + 1))
+    if not m:  # only levenshtein passes an empty pattern, never with free_start
+        return list(range(len(text) + 1))
     peq: dict[str, int] = {}
     for i, c in enumerate(pattern):
         peq[c] = peq.get(c, 0) | (1 << i)
@@ -83,7 +85,15 @@ def best_fuzzy_substring(query: str, corpus: str) -> MatchResult:
 
     Ties are broken by smaller start index, then shorter substring.  An
     empty query matches the empty substring at position 0 with distance 0.
+
+    An exact occurrence is returned first, without the DP: distance 0 means
+    the substring equals ``query``, so the first occurrence is the smallest
+    winning start and ``len(query)`` the only winning length.  The DP runs
+    only when ``query`` does not occur in ``corpus``.
     """
+    start = corpus.find(query)  # 0 for an empty query
+    if start >= 0:
+        return MatchResult(query, start, start + len(query), 0)
     # by_start[s]: best distance between query and any corpus[s:e]
     by_start = _edit_row(query[::-1], corpus[::-1], free_start=True)[::-1]
     distance = min(by_start)

@@ -89,10 +89,14 @@ def jaro_winkler(a: str, b: str) -> float:
 
 
 def ratcliff_obershelp(a: str, b: str) -> float:
-    """Gestalt similarity 2M/T; 1.0 when both strings are empty.
+    """Gestalt similarity 2M/T; 1.0 for equal strings, two empties included.
 
-    ``difflib`` takes the longest common substring, ties to the earliest
-    start in ``a`` and then in ``b``, and recurses on both sides; with no
-    junk and ``autojunk=False`` that is exactly Ratcliff-Obershelp.
+    Equal strings return 1.0 at once, which is exactly what ``difflib``'s
+    2n/2n gives.  Otherwise ``difflib`` takes the longest common substring,
+    ties to the earliest start in ``a`` and then in ``b``, and recurses on
+    both sides; with no junk and ``autojunk=False`` that is exactly
+    Ratcliff-Obershelp.
     """
+    if a == b:
+        return 1.0
     return SequenceMatcher(None, a, b, autojunk=False).ratio()

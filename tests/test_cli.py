@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import HOSTILE_DOCUMENTS, StubHandler, ok_reply, sign_doc, sign_gt, synthetic_gt
 
+from blockspot import cli, pipeline
 from blockspot.cli import main
 from blockspot.model import save_document
 
@@ -340,6 +346,38 @@ class TestBadPaths:
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "outcomes", ["o.json", "./o.json", "{tmp}/o.json", "link.json"],
+        ids=["same", "dot-slash", "absolute", "symlink"],
+    )
+    def test_outcomes_at_out_path_exits_2(self, tmp_path, sign_fixture, capsys, monkeypatch, outcomes):
+        pred_path, _ = sign_fixture
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.json").symlink_to(tmp_path / "o.json")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ordered before the paths were checked")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        before = sorted(tmp_path.iterdir())
+        argv = ["order", str(pred_path), "--out", "o.json", "--outcomes", outcomes.format(tmp=tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --outcomes ")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_pipeline_error_exits_2_without_output(self, tmp_path, sign_fixture, capsys, monkeypatch):
+        pred_path, _ = sign_fixture
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(pipeline, "order_block", broken)
+        out = tmp_path / "out" / "o.json"
+        out.parent.mkdir()
+        assert main(["order", str(pred_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: block 0: invariant broken")
+        assert list(out.parent.iterdir()) == []
+
 
 class TestPrompt:
     def test_prompt_contains_texts_verbatim(self, tmp_path, sign_fixture, capsys):
@@ -467,3 +505,118 @@ class TestConfigPrecedence:
         echoed = json.loads(out.with_suffix(".outcomes.json").read_text())["config"]
         assert echoed["max_context_tokens"] == 2048
         assert "api_key" not in echoed
+
+
+# Config files for the argv fuzz: wrong types, out-of-range and non-finite
+# values, a non-object, broken JSON, and one good file.
+FUZZ_CONFIGS = {
+    "good": "{}",
+    "mistyped-float": '{"min_iou": "x"}',
+    "float-for-int": '{"max_context_tokens": 1.5}',
+    "nan": '{"temperature": NaN}',
+    "infinite-iou": '{"min_iou": Infinity}',
+    "huge-iou": '{"min_iou": 1e308}',
+    "negative-retries": '{"max_retries": -5}',
+    "huge-int": '{"max_context_tokens": 100000000000000000000000000000}',
+    "negative-output": '{"max_output_tokens": -1}',
+    "zero-timeout": '{"request_timeout": 0}',
+    "int-backend": '{"backend": 5}',
+    "missing-script": '{"backend": "scripted:/does/not/exist.json"}',
+    "null": '{"model": null}',
+    "list": "[1]",
+    "broken": "{not json",
+}
+FUZZ_NUMBERS = ["0", "1", "-1", "-99999999999", "9" * 30, "nan", "inf", "-inf", "1e309", "0.5", "abc", ""]
+FUZZ_INPUTS = [
+    "{tmp}/pred.json", "{tmp}/gt.json", "{tmp}/hostile.json", "{tmp}/broken.json", "{tmp}/latin1.json",
+    "{tmp}/empty.json", "{tmp}/missing.json", "{tmp}/nodir/x.json", "{tmp}", ".", "",
+]
+FUZZ_OUTPUTS = ["{out}/o.json", "{out}/r.json", "{tmp}/nodir/o.json", "{out}", ".", "/", ""]
+FUZZ_CONFIG_PATHS = [f"{{tmp}}/cfg-{name}.json" for name in FUZZ_CONFIGS] + ["{tmp}/missing.json", "{tmp}"]
+FUZZ_BACKENDS = [
+    "geometric-only", "http", "scripted:{tmp}/replies.json", "scripted:{tmp}/broken.json",
+    "scripted:", "scripted:{tmp}/missing.json", "replay:{tmp}/missing.jsonl",
+    "replay:{tmp}/broken.json", "quantum", "",
+]
+FUZZ_TEXTS = ["", "abc", "CYCLNG", "e\u0301\U0001f600", "nan", "-1", "{tmp}/replies.json"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    save_document(sign_doc(), tmp / "pred.json")
+    save_document(sign_gt(), tmp / "gt.json")
+    (tmp / "hostile.json").write_text(HOSTILE_DOCUMENTS["huge-int-vertex"])
+    (tmp / "broken.json").write_text("{not json")
+    (tmp / "latin1.json").write_bytes(b'{"text": "\xe9"}')
+    (tmp / "empty.json").write_text("")
+    (tmp / "replies.json").write_text(json.dumps({"block-0": "20 REASONS TO LOVE CYCLING"}))
+    for name, text in FUZZ_CONFIGS.items():
+        (tmp / f"cfg-{name}.json").write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("BLOCKSPOT_API_KEY", raising=False)  # "http" must stop at exit 3
+        yield tmp
+
+
+def _often(good: str, vocabulary: list[str]) -> st.SearchStrategy[str]:
+    """``good`` about half the time, so that runs get past input checks."""
+    return st.one_of(st.just(good), st.sampled_from(vocabulary))
+
+
+def _options(draw, options: dict) -> list[str]:
+    argv = []
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["order", "eval", "fuzzy", "prompt"]))
+    if command == "order":
+        argv = [command, draw(_often("{tmp}/pred.json", FUZZ_INPUTS))]
+        argv += ["--out", draw(_often("{out}/o.json", FUZZ_OUTPUTS))]
+        argv += _options(draw, {
+            "--backend": FUZZ_BACKENDS,
+            "--model": ["m", ""],
+            "--max-context-tokens": FUZZ_NUMBERS,
+            "--max-output-tokens": FUZZ_NUMBERS,
+            "--outcomes": FUZZ_OUTPUTS,
+            "--config": FUZZ_CONFIG_PATHS,
+        })
+    elif command == "eval":
+        argv = [command, draw(_often("{tmp}/pred.json", FUZZ_INPUTS))]
+        argv += [draw(_often("{tmp}/gt.json", FUZZ_INPUTS))]
+        argv += _options(draw, {
+            "--min-iou": FUZZ_NUMBERS, "--out": FUZZ_OUTPUTS, "--config": FUZZ_CONFIG_PATHS,
+        })
+    elif command == "fuzzy":
+        argv = [command, draw(st.sampled_from(FUZZ_TEXTS))]
+        argv += [draw(st.sampled_from(FUZZ_TEXTS + FUZZ_INPUTS))]
+    else:
+        argv = [command, draw(_often("{tmp}/pred.json", FUZZ_INPUTS)), draw(_often("0", FUZZ_NUMBERS))]
+    return argv + draw(st.sampled_from([[], [], [], ["--bogus"]]))
+
+
+class TestArgvFuzz:
+    @given(cli_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_no_traceback_and_known_exit_code(self, fuzz_dir, argv):
+        out = fuzz_dir / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        argv = [a.format(tmp=fuzz_dir, out=out) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejected the argv
+                code = e.code
+                assert code == 2 and "error:" in err.getvalue()
+            else:
+                assert code in (0, 2, 3)
+                if code:
+                    assert err.getvalue().startswith("error: ")
+        if code:
+            assert list(out.iterdir()) == []  # a failed run leaves no output

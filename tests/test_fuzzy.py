@@ -4,9 +4,10 @@ Two references independent of ``blockspot.fuzzy``'s search are the ground
 truth here: ``enumerate_best`` literally scores every substring, and
 ``exact_best`` derives the same answer from a reversed semi-global pass
 plus one anchored row of the plain DP, fast enough for long corpora.
-``best_fuzzy_substring`` runs the same two passes bit-parallel and must
-match them exactly, tie-break included; ``levenshtein`` must equal the
-plain DP's anchored row.
+``best_fuzzy_substring`` answers an exact occurrence with ``str.find`` and
+otherwise runs the same two passes bit-parallel; either way it must match
+them exactly, tie-break included.  ``levenshtein`` must equal the plain
+DP's anchored row.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockspot import fuzzy
 from blockspot.fuzzy import MatchResult, best_fuzzy_substring, levenshtein
 
 
@@ -263,3 +265,43 @@ class TestTwoStage:
     @settings(max_examples=150, deadline=None)
     def test_never_beats_oracle(self, corpus, query):
         assert best_fuzzy_substring(query, corpus) == enumerate_best(query, corpus)
+
+
+# two letters make occurrences repeat and overlap; the other alphabet mixes
+# astral and combining code points
+OCCURRENCE_ALPHABETS = ("ab", "e\u0301\U0001d11e\U0001f600 \u0308a")
+
+
+@st.composite
+def corpus_and_slice(draw, min_size: int, max_size: int) -> tuple[str, str]:
+    alphabet = draw(st.sampled_from(OCCURRENCE_ALPHABETS))
+    corpus = draw(st.text(alphabet=alphabet, min_size=min_size, max_size=max_size))
+    lo = draw(st.integers(0, len(corpus)))
+    hi = draw(st.integers(lo, len(corpus)))
+    return corpus, corpus[lo:hi]
+
+
+class TestExactOccurrence:
+    """Queries cut from the corpus, which ``str.find`` answers without the DP."""
+
+    @given(corpus_and_slice(0, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration(self, pair):
+        corpus, query = pair
+        assert best_fuzzy_substring(query, corpus) == enumerate_best(query, corpus)
+
+    @given(corpus_and_slice(60, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_long_corpora_match_oracle(self, pair):
+        corpus, query = pair
+        assert best_fuzzy_substring(query, corpus) == exact_best(query, corpus)
+
+    def test_occurrence_skips_the_dp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("edit DP ran for an exact occurrence")
+
+        monkeypatch.setattr(fuzzy, "_edit_row", refuse)
+        corpus = "20 REASONS TO LOVE CYCLING"
+        assert best_fuzzy_substring("CYCL", corpus) == MatchResult("CYCL", 19, 23, 0)
+        assert best_fuzzy_substring("", corpus) == MatchResult("", 0, 0, 0)
+        assert best_fuzzy_substring(corpus, corpus) == MatchResult(corpus, 0, 26, 0)

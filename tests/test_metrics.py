@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockspot import metrics
 from blockspot.fuzzy import best_fuzzy_substring
 from blockspot.metrics import (
     MetricVector,
@@ -292,6 +293,19 @@ class TestRatcliffObershelp:
         # tie-break (earliest in a, then in b) decides the decomposition
         a, b = pair
         assert ratcliff_obershelp(a, b) == ro_reference(a, b)
+
+    @given(st.text(alphabet="e\u0301\U0001f600 ab", max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_strings_equal_decomposition(self, s):
+        assert ratcliff_obershelp(s, s) == ro_reference(s, s) == 1.0
+
+    def test_equal_strings_skip_difflib(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SequenceMatcher built for equal strings")
+
+        monkeypatch.setattr(metrics, "SequenceMatcher", refuse)
+        for s in ("", "same text", "e\u0301\U0001f600"):
+            assert ratcliff_obershelp(s, s) == 1.0
 
 
 class TestProperties:
