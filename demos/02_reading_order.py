@@ -6,13 +6,13 @@ order lines are handed to the LLM in, and the full fallback answer when
 the LLM is unavailable.
 """
 
-from blockspot import AlignedRect, choose_mode, geometric_order
+from blockspot import choose_mode, geometric_order
 from blockspot.model import Line, Quad
 
 
 def line_at(line_id, text, x0, y0, x1, y1):
     quad = Quad.from_points([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    return Line(id=line_id, box=quad, text=text), AlignedRect(x0, y0, x1, y1)
+    return Line(id=line_id, box=quad, text=text)
 
 
 # a menu: three stacked rows, the middle one split into two columns
@@ -24,7 +24,7 @@ menu = [
 ]
 print("mode:", choose_mode(menu).value)
 order = geometric_order(menu)
-texts = {line.id: line.text for line, _ in menu}
+texts = {line.id: line.text for line in menu}
 print("reading order:", " | ".join(texts[i] for i in order))
 
 # the misleading sign: big text left, small text right, one shared row.
@@ -33,7 +33,7 @@ sign = [
     line_at(0, "20 REASONS", 310, 20, 420, 60),
     line_at(1, "TO LOVE CYCLING", 0, 10, 300, 90),
 ]
-sign_texts = {line.id: line.text for line, _ in sign}
+sign_texts = {line.id: line.text for line in sign}
 print("\nsign read by position:", " ".join(sign_texts[i] for i in geometric_order(sign)))
 
 # vertical banner: taller than wide, so columns win

@@ -38,6 +38,7 @@ from typing import get_type_hints
 from .evaluation import evaluate, render_table, report_to_json
 from .fuzzy import best_fuzzy_substring
 from .llm import (
+    DEFAULT_ENDPOINT,
     HttpBackend,
     LlmBackend,
     LlmConfig,
@@ -87,7 +88,7 @@ class Settings:
     max_output_tokens: int = 512
     request_timeout: float = 30.0
     max_retries: int = 3
-    endpoint_url: str = ""
+    endpoint_url: str = DEFAULT_ENDPOINT
     min_iou: float = 0.0
 
     def echo(self) -> dict:
@@ -132,18 +133,16 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
 
 
 def _llm_config(settings: Settings) -> LlmConfig:
-    kwargs = dict(
-        model_name=settings.model,
-        temperature=settings.temperature,
-        max_context_tokens=settings.max_context_tokens,
-        max_output_tokens=settings.max_output_tokens,
-        request_timeout=settings.request_timeout,
-        max_retries=settings.max_retries,
-    )
-    if settings.endpoint_url:
-        kwargs["endpoint_url"] = settings.endpoint_url
     try:
-        return LlmConfig(**kwargs)  # api_key defaults from BLOCKSPOT_API_KEY
+        return LlmConfig(  # api_key defaults from BLOCKSPOT_API_KEY
+            model_name=settings.model,
+            temperature=settings.temperature,
+            max_context_tokens=settings.max_context_tokens,
+            max_output_tokens=settings.max_output_tokens,
+            request_timeout=settings.request_timeout,
+            max_retries=settings.max_retries,
+            endpoint_url=settings.endpoint_url,
+        )
     except ValueError as e:
         raise BackendConfigError(str(e)) from e
 

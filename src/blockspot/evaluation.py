@@ -17,7 +17,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .fuzzy import best_fuzzy_substring
-from .geometry import AlignedRect, quad_bounds
+from .geometry import AlignedRect
 # Bound as ``quad_iou`` because bench/tracer.py counts IoU calls through
 # this name and bench/test_bench.py patches it to inject a matching fault.
 from .geometry import rect_iou as quad_iou
@@ -55,10 +55,10 @@ class EvalReport:
 
 
 def block_hull(doc: Document, block: Block) -> AlignedRect:
-    """Axis-aligned rectangle covering every line of the block."""
-    return quad_bounds(
-        [p for lid in block.line_ids for p in doc.line_by_id(lid).box.vertices]
-    )
+    """Axis-aligned rectangle covering the bounds of every line of the block."""
+    rects = [doc.line_by_id(lid).box.bounds for lid in block.line_ids]
+    return AlignedRect(min(r.x_min for r in rects), min(r.y_min for r in rects),
+                       max(r.x_max for r in rects), max(r.y_max for r in rects))
 
 
 def match_blocks(

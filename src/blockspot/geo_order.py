@@ -6,7 +6,8 @@ columns read left-to-right then top-to-bottom (vertical text).  This is
 the order used to pass lines to the LLM and the fallback when the LLM
 cannot be used.  The clustering rule here is a pragmatic stand-in: lines
 whose vertical centers sit within half the median line height of each
-other are treated as one row (transposed for columns).
+other are treated as one row (transposed for columns).  Both read each
+line's ``box.bounds``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import enum
 from statistics import median
 from typing import Sequence
 
-from .geometry import AlignedRect
 from .model import Line
 
 
@@ -24,7 +24,7 @@ class OrderingMode(enum.Enum):
     LTR_TTB = "left_to_right_top_to_bottom"
 
 
-def choose_mode(lines: Sequence[tuple[Line, AlignedRect]]) -> OrderingMode:
+def choose_mode(lines: Sequence[Line]) -> OrderingMode:
     """Pick row-major vs column-major from the median line aspect.
 
     Wider-than-tall lines read as stacked rows (TTB_LTR); taller ones as
@@ -32,11 +32,11 @@ def choose_mode(lines: Sequence[tuple[Line, AlignedRect]]) -> OrderingMode:
     """
     if not lines:
         raise ValueError("no lines to order")
-    aspect = median(rect.width / rect.height for _, rect in lines)
+    aspect = median(line.box.bounds.width / line.box.bounds.height for line in lines)
     return OrderingMode.TTB_LTR if aspect >= 1.0 else OrderingMode.LTR_TTB
 
 
-def geometric_order(lines: Sequence[tuple[Line, AlignedRect]]) -> list[int]:
+def geometric_order(lines: Sequence[Line]) -> list[int]:
     """Order line ids by position alone; always a permutation of the input.
 
     Rows (or columns) are formed by single-linkage clustering on center
@@ -47,17 +47,17 @@ def geometric_order(lines: Sequence[tuple[Line, AlignedRect]]) -> list[int]:
     """
     if not lines:
         raise ValueError("no lines to order")
-    mode = choose_mode(lines)
-    if mode is OrderingMode.TTB_LTR:
-        along = [rect.center[1] for _, rect in lines]  # cluster on y
-        across = [rect.x_min for _, rect in lines]  # read rows by x
-        threshold = 0.5 * median(rect.height for _, rect in lines)
+    rects = [line.box.bounds for line in lines]
+    if choose_mode(lines) is OrderingMode.TTB_LTR:
+        along = [rect.center[1] for rect in rects]  # cluster on y
+        across = [rect.x_min for rect in rects]  # read rows by x
+        threshold = 0.5 * median(rect.height for rect in rects)
     else:
-        along = [rect.center[0] for _, rect in lines]
-        across = [rect.y_min for _, rect in lines]
-        threshold = 0.5 * median(rect.width for _, rect in lines)
+        along = [rect.center[0] for rect in rects]
+        across = [rect.y_min for rect in rects]
+        threshold = 0.5 * median(rect.width for rect in rects)
 
-    ids = [line.id for line, _ in lines]
+    ids = [line.id for line in lines]
 
     # Single-linkage clusters over |center distance| < threshold: in 1-D
     # these are the runs of the sorted centers split at every gap >= threshold.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Point = tuple[float, float]
 
@@ -164,15 +164,14 @@ def round_half_away_from_zero(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def translate_block_boxes(quads: Iterable[Sequence[Point]]) -> list[AlignedRect]:
-    """Reduce quads to integer boxes anchored at the block origin.
+def translate_block_boxes(bounds: Sequence[AlignedRect]) -> list[AlignedRect]:
+    """Reduce line bounds to integer boxes anchored at the block origin.
 
-    Each quad becomes its axis-aligned bounds, all boxes are shifted so the
-    block-wide minimum x and y are 0, and coordinates are rounded half away
-    from zero.  Boxes thinner than a pixel after rounding are widened to 1
-    so the result stays a valid rectangle.
+    All boxes are shifted so the block-wide minimum x and y are 0, and
+    coordinates are rounded half away from zero.  Boxes thinner than a
+    pixel after rounding are widened to 1 so the result stays a valid
+    rectangle.
     """
-    bounds = [quad_bounds(q) for q in quads]
     if not bounds:
         raise GeometryError("no boxes to translate")
     off_x = min(r.x_min for r in bounds)

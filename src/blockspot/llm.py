@@ -262,9 +262,13 @@ class ReplayBackend:
     def __init__(self, path: str | Path):
         self._entries: dict[tuple[str, str], LlmReply] = {}
         path = Path(path)
+        try:
+            transcript = path.read_text("utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise LlmRequestError(f"{path}: cannot read transcript: {e}") from e
         # split on "\n" only: replies may hold U+0085 or U+2028, which
         # json.dumps leaves unescaped and str.splitlines would split on
-        for ln, raw in enumerate(path.read_text("utf-8").split("\n"), 1):
+        for ln, raw in enumerate(transcript.split("\n"), 1):
             if not raw.strip():
                 continue
             try:

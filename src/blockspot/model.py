@@ -29,12 +29,12 @@ import enum
 import json
 import math
 import re
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
-from .geometry import quad_bounds
+from .geometry import AlignedRect, quad_bounds
 
 BOX_MARGIN_PX = 5.0
 # exact JSON value types: bool is an int subclass, and float() takes "10" too
@@ -57,36 +57,36 @@ class DocumentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Quad:
-    """Convex quadrilateral, counter-clockwise winding, positive area."""
+    """Convex quadrilateral, counter-clockwise (clockwise input is reversed),
+    positive area.  Its axis-aligned box, ``bounds``, is computed here once
+    for every layer to read; ``==``, ``hash`` and ``repr`` ignore it."""
 
     vertices: tuple[tuple[float, float], ...]
-    # ``_corner_crosses(vertices)`` when the caller has computed it already
-    _crosses: InitVar[list[float] | None] = None
+    bounds: AlignedRect = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _crosses: list[float] | None) -> None:
-        if len(self.vertices) != 4:
-            raise ValueError(f"quad needs 4 vertices, got {len(self.vertices)}")
-        crosses = _corner_crosses(self.vertices) if _crosses is None else _crosses
-        area4 = sum(crosses)
-        if not math.isfinite(area4):
-            raise ValueError(f"non-finite vertex in {self.vertices}")
-        if area4 <= 0:
-            raise ValueError("quad vertices must wind counter-clockwise with area > 0")
-        if min(crosses) < -1e-9 * max(crosses):  # a corner turning the other way
-            raise ValueError("quad is not convex")
-
-    @classmethod
-    def from_points(cls, points: Iterable[Iterable[float]]) -> "Quad":
-        """Build a quad, flipping clockwise input to the canonical winding."""
-        pts = tuple((float(x), float(y)) for x, y in points)
+    def __post_init__(self) -> None:
+        pts = self.vertices
         if len(pts) != 4:
-            return cls(pts)
+            raise ValueError(f"quad needs 4 vertices, got {len(pts)}")
         crosses = _corner_crosses(pts)
         if sum(crosses) < 0:
             # reversing the winding negates every cross exactly and permutes them
             pts = (pts[0], pts[3], pts[2], pts[1])
             crosses = [-crosses[2], -crosses[1], -crosses[0], -crosses[3]]
-        return cls(pts, crosses)
+            object.__setattr__(self, "vertices", pts)
+        area4 = sum(crosses)
+        if not math.isfinite(area4):
+            raise ValueError(f"non-finite vertex in {pts}")
+        if area4 <= 0:
+            raise ValueError("quad vertices must wind counter-clockwise with area > 0")
+        if min(crosses) < -1e-9 * max(crosses):  # a corner turning the other way
+            raise ValueError("quad is not convex")
+        object.__setattr__(self, "bounds", quad_bounds(pts))
+
+    @classmethod
+    def from_points(cls, points: Iterable[Iterable[float]]) -> "Quad":
+        """Build a quad from any numeric points, converted to floats."""
+        return cls(tuple((float(x), float(y)) for x, y in points))
 
 
 def _corner_crosses(vertices: tuple[tuple[float, float], ...]) -> list[float]:
@@ -176,7 +176,7 @@ def validate_document(doc: Document, *, source: str = "<memory>") -> None:
         if line.id in seen_ids:
             raise DocumentError(f"duplicate line id {line.id}", source=source)
         seen_ids.add(line.id)
-        rect = quad_bounds(line.box.vertices)
+        rect = line.box.bounds
         if (
             rect.x_min < -BOX_MARGIN_PX
             or rect.y_min < -BOX_MARGIN_PX

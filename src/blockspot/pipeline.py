@@ -36,7 +36,6 @@ from .geometry import (
     GeometryError,
     RecognizerSpec,
     crop_rect,
-    quad_bounds,
     snap_rotation,
     split_for_recognizer,
     translate_block_boxes,
@@ -189,8 +188,7 @@ def recognize_document(
 def _geometric_entries(doc: Document, block: Block) -> tuple[list[Line], list[str]]:
     """Block lines in geometric order, with their texts."""
     lines = [doc.line_by_id(lid) for lid in block.line_ids]
-    pairs = [(line, quad_bounds(line.box.vertices)) for line in lines]
-    order = geometric_order(pairs)
+    order = geometric_order(lines)
     by_id = {line.id: line for line in lines}
     ordered = [by_id[lid] for lid in order]
     return ordered, [line.text for line in ordered]
@@ -203,7 +201,7 @@ def block_key(block_index: int) -> str:
 
 def _prompt_for(ordered: Sequence[Line], texts: Sequence[str]) -> ChatPrompt:
     """Prompt for lines already in geometric order, boxes block-anchored."""
-    boxes = translate_block_boxes([line.box.vertices for line in ordered])
+    boxes = translate_block_boxes([line.box.bounds for line in ordered])
     return build_prompt(BlockPromptInput(entries=tuple(zip(texts, boxes))))
 
 

@@ -46,6 +46,7 @@ from blockspot.metrics import jaro_winkler, normalized_levenshtein, ratcliff_obe
 from blockspot.model import save_document
 from blockspot.pipeline import Strategy, order_block, run
 from test_geo_order import make_line as make_geo_line
+from test_geo_order import shift_line
 from test_prompt_golden import GOLDEN_PATH, build_all
 
 
@@ -233,7 +234,7 @@ def criterion_7_geometry_suite():
                               rng.uniform(2, 120), rng.uniform(2, 120), rng.uniform(-45, 45))
             for _ in range(rng.randint(1, 10))
         ]
-        out = translate_block_boxes(quads)
+        out = translate_block_boxes([quad_bounds(q) for q in quads])
         assert min(r.x_min for r in out) == 0
         assert min(r.y_min for r in out) == 0
         assert all(r.x_min >= 0 and r.y_min >= 0 for r in out)
@@ -260,10 +261,7 @@ def criterion_8_determinism():
                 make_geo_line(i, AlignedRect(x, y, x + rng.uniform(4, 180), y + rng.uniform(4, 50)))
             )
         dx, dy = rng.uniform(-5000, 5000), rng.uniform(-5000, 5000)
-        moved = [
-            make_geo_line(line.id, AlignedRect(r.x_min + dx, r.y_min + dy, r.x_max + dx, r.y_max + dy))
-            for line, r in lines
-        ]
+        moved = [shift_line(line, dx, dy) for line in lines]
         assert geometric_order(lines) == geometric_order(moved)
     return "50 golden prompts byte-identical, 200 translation-invariant orderings"
 

@@ -14,6 +14,7 @@ from conftest import HOSTILE_DOCUMENTS, StubHandler, ok_reply, sign_doc, sign_gt
 
 from blockspot import cli, pipeline
 from blockspot.cli import main
+from blockspot.llm import DEFAULT_ENDPOINT
 from blockspot.model import save_document
 
 
@@ -128,6 +129,7 @@ class TestOrder:
         ("key", "config_text"),
         [
             ("test-key", '{"endpoint_url": "not-a-url"}'),
+            ("test-key", '{"endpoint_url": ""}'),
             ("sk-secret\n", '{"endpoint_url": "STUB"}'),
             ("sk-secret-\u043a\u043b\u044e\u0447", '{"endpoint_url": "STUB"}'),
             ("test-key", '{"endpoint_url": "STUB", "temperature": NaN}'),
@@ -135,6 +137,7 @@ class TestOrder:
         ],
         ids=[
             "endpoint-not-a-url",
+            "endpoint-empty",
             "key-with-newline",
             "non-latin-1-key",
             "nan-temperature",
@@ -506,6 +509,13 @@ class TestConfigPrecedence:
         assert echoed["max_context_tokens"] == 2048
         assert "api_key" not in echoed
 
+    def test_outcomes_echo_the_default_endpoint(self, tmp_path, sign_fixture):
+        doc_path, _ = sign_fixture
+        out = tmp_path / "o.json"
+        assert main(["order", str(doc_path), "--out", str(out)]) == 0
+        echoed = json.loads(out.with_suffix(".outcomes.json").read_text())["config"]
+        assert echoed["endpoint_url"] == DEFAULT_ENDPOINT
+
 
 # Config files for the argv fuzz: wrong types, out-of-range and non-finite
 # values, a non-object, broken JSON, and one good file.
@@ -536,7 +546,7 @@ FUZZ_CONFIG_PATHS = [f"{{tmp}}/cfg-{name}.json" for name in FUZZ_CONFIGS] + ["{t
 FUZZ_BACKENDS = [
     "geometric-only", "http", "scripted:{tmp}/replies.json", "scripted:{tmp}/broken.json",
     "scripted:", "scripted:{tmp}/missing.json", "replay:{tmp}/missing.jsonl",
-    "replay:{tmp}/broken.json", "quantum", "",
+    "replay:{tmp}/broken.json", "replay:{tmp}/latin1.json", "scripted:{tmp}/latin1.json", "quantum", "",
 ]
 FUZZ_TEXTS = ["", "abc", "CYCLNG", "e\u0301\U0001f600", "nan", "-1", "{tmp}/replies.json"]
 

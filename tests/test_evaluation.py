@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from conftest import make_line, sign_gt, synthetic_gt
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_geometry import convex_iou
+from test_geometry import convex_iou, rotated_rect_quad
 
 from blockspot import evaluation
 from blockspot.evaluation import (
@@ -23,7 +24,9 @@ from blockspot.evaluation import (
 from blockspot import metrics
 from blockspot.fuzzy import levenshtein
 from blockspot.geometry import AlignedRect, quad_bounds, rect_iou
-from blockspot.model import Block, Document, validate_document
+from blockspot.llm import LlmConfig
+from blockspot.model import Block, Document, Line, Quad, parse_document, serialize_document, validate_document
+from blockspot.pipeline import build_block_prompt, order_block
 
 
 def doc_with_blocks(lines, blocks, width=1000, height=1000, gt=False):
@@ -58,6 +61,58 @@ class TestBlockHull:
             [Block(line_ids=(0,), text="a")],
         )
         assert block_hull(doc, doc.blocks[0]) == AlignedRect(10.25, 10.75, 110.5, 30.25)
+
+
+def vertex_hull(doc, block):
+    """``block_hull`` as it was before lines carried their bounds: the
+    bounds of every vertex of the block's lines, flattened."""
+    return quad_bounds([p for lid in block.line_ids for p in doc.line_by_id(lid).box.vertices])
+
+
+@st.composite
+def hull_documents(draw):
+    """Rotated lines, some given clockwise, grouped into blocks of shuffled ids."""
+    coord, size = st.floats(0, 1000), st.floats(1, 300)
+    lines = []
+    for i in range(draw(st.integers(1, 12))):
+        quad = rotated_rect_quad(draw(coord), draw(coord), draw(size), draw(size), draw(st.floats(-90, 90)))
+        lines.append(Line(i, Quad.from_points(quad[::-1] if draw(st.booleans()) else quad)))
+    ids = draw(st.permutations(range(len(lines))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(lines) - 1), max_size=5)) if len(lines) > 1 else ())
+    starts, ends = [0, *cuts], [*cuts, len(lines)]
+    blocks = tuple(Block(tuple(ids[a:b])) for a, b in zip(starts, ends))
+    return Document(image_width=1400, image_height=1400, lines=tuple(lines), blocks=blocks)
+
+
+class TestBlockHullOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(hull_documents())
+    def test_matches_flattened_vertices(self, doc):
+        for block in doc.blocks:
+            assert block_hull(doc, block) == vertex_hull(doc, block)
+
+
+class TestBoundOnce:
+    def test_ordering_prompts_and_evaluation_bound_no_quad(self, monkeypatch):
+        rng = random.Random(5)
+        gt_doc = synthetic_gt(60)
+        gt = parse_document(serialize_document(gt_doc), "ground_truth")
+        pred = parse_document(serialize_document(jittered_prediction(gt_doc, rng)))
+        calls = []
+
+        def counted(vertices):
+            calls.append(vertices)
+            return quad_bounds(vertices)
+
+        for name, module in list(sys.modules.items()):
+            if name == "blockspot" or name.startswith("blockspot."):
+                monkeypatch.setattr(module, "quad_bounds", counted, raising=False)
+        cfg = LlmConfig(api_key="offline")
+        for block in gt.blocks:
+            order_block(gt, block, None, cfg)
+            build_block_prompt(gt, block)
+        evaluate(pred, gt)
+        assert calls == []
 
 
 def oracle_matches(pred, gt):

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockspot.geo_order import OrderingMode, choose_mode, geometric_order
-from blockspot.geometry import AlignedRect
+from blockspot.geometry import AlignedRect, quad_bounds
 from blockspot.model import Line, Quad
 
 
-def make_line(line_id: int, rect: AlignedRect, text: str = "") -> tuple[Line, AlignedRect]:
+def make_line(line_id: int, rect: AlignedRect, text: str = "") -> Line:
     box = Quad.from_points(
         [
             [rect.x_min, rect.y_min],
@@ -23,20 +23,28 @@ def make_line(line_id: int, rect: AlignedRect, text: str = "") -> tuple[Line, Al
             [rect.x_min, rect.y_max],
         ]
     )
-    return Line(id=line_id, box=box, text=text), rect
+    return Line(id=line_id, box=box, text=text)
 
 
-def union_find_order(lines: list[tuple[Line, AlignedRect]]) -> list[int]:
-    """Oracle for ``geometric_order``: single linkage by union-find over all pairs."""
+def shift_line(line: Line, dx: float, dy: float) -> Line:
+    r = line.box.bounds
+    return make_line(line.id, AlignedRect(r.x_min + dx, r.y_min + dy, r.x_max + dx, r.y_max + dy), line.text)
+
+
+def union_find_order(lines: list[Line]) -> list[int]:
+    """Oracle for ``geometric_order``: single linkage by union-find over all
+    pairs, on boxes bounded from the vertices here rather than read from
+    ``Quad.bounds``."""
+    rects = [quad_bounds(line.box.vertices) for line in lines]
     if choose_mode(lines) is OrderingMode.TTB_LTR:
-        along = [rect.center[1] for _, rect in lines]
-        across = [rect.x_min for _, rect in lines]
-        threshold = 0.5 * median(rect.height for _, rect in lines)
+        along = [rect.center[1] for rect in rects]
+        across = [rect.x_min for rect in rects]
+        threshold = 0.5 * median(rect.height for rect in rects)
     else:
-        along = [rect.center[0] for _, rect in lines]
-        across = [rect.y_min for _, rect in lines]
-        threshold = 0.5 * median(rect.width for _, rect in lines)
-    ids = [line.id for line, _ in lines]
+        along = [rect.center[0] for rect in rects]
+        across = [rect.y_min for rect in rects]
+        threshold = 0.5 * median(rect.width for rect in rects)
+    ids = [line.id for line in lines]
     n = len(lines)
     parent = list(range(n))
 
@@ -133,7 +141,7 @@ class TestGeometricOrder:
                     make_line(i, AlignedRect(x, y, x + rng.uniform(5, 200), y + rng.uniform(5, 60)))
                 )
             order = geometric_order(lines)
-            assert sorted(order) == sorted(l.id for l, _ in lines)
+            assert sorted(order) == sorted(l.id for l in lines)
 
     def test_translation_invariance(self):
         rng = random.Random(41)
@@ -146,13 +154,7 @@ class TestGeometricOrder:
                     make_line(i, AlignedRect(x, y, x + rng.uniform(5, 150), y + rng.uniform(5, 40)))
                 )
             dx, dy = rng.uniform(-1000, 1000), rng.uniform(-1000, 1000)
-            shifted = [
-                make_line(
-                    line.id,
-                    AlignedRect(r.x_min + dx, r.y_min + dy, r.x_max + dx, r.y_max + dy),
-                )
-                for line, r in lines
-            ]
+            shifted = [shift_line(line, dx, dy) for line in lines]
             assert geometric_order(lines) == geometric_order(shifted)
 
     def test_monotone_y_for_separated_rows(self):

@@ -325,16 +325,16 @@ class TestRectIoU:
 
 class TestTranslateBlockBoxes:
     def test_two_boxes(self):
-        out = translate_block_boxes([rect_quad(5, 7, 9, 11), rect_quad(6, 3, 12, 9)])
+        out = translate_block_boxes([AlignedRect(5, 7, 9, 11), AlignedRect(6, 3, 12, 9)])
         assert out == [AlignedRect(0, 4, 4, 8), AlignedRect(1, 0, 7, 6)]
 
     def test_single_box(self):
-        out = translate_block_boxes([rect_quad(100, 200, 150, 240)])
+        out = translate_block_boxes([AlignedRect(100, 200, 150, 240)])
         assert out == [AlignedRect(0, 0, 50, 40)]
 
     def test_fractional_coordinates(self):
         # translation anchors the block minimum at zero before rounding
-        out = translate_block_boxes([rect_quad(0.4, 0.6, 10.4, 20.6)])
+        out = translate_block_boxes([AlignedRect(0.4, 0.6, 10.4, 20.6)])
         assert out == [AlignedRect(0, 0, 10, 20)]
 
     def test_rounding_is_half_away_from_zero(self):
@@ -350,7 +350,7 @@ class TestTranslateBlockBoxes:
                 rotated_rect_quad(rng.uniform(50, 900), rng.uniform(50, 900), rng.uniform(2, 100), rng.uniform(2, 100), rng.uniform(-45, 45))
                 for _ in range(rng.randint(1, 8))
             ]
-            out = translate_block_boxes(quads)
+            out = translate_block_boxes([quad_bounds(q) for q in quads])
             assert min(r.x_min for r in out) == 0
             assert min(r.y_min for r in out) == 0
             assert all(r.x_min >= 0 and r.y_min >= 0 for r in out)

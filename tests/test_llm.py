@@ -8,6 +8,7 @@ socket without leaving the machine.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from conftest import StubHandler, ok_reply
@@ -195,6 +196,12 @@ class TestReplay:
         replay = ReplayBackend(transcript)
         with pytest.raises(LlmRequestError, match="no entry"):
             complete(replay, ChatPrompt(system="sys", user="different"), config(), key="block-0")
+
+    def test_non_utf8_transcript_is_a_request_error(self, tmp_path):
+        transcript = tmp_path / "bad.bin"
+        transcript.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(LlmRequestError, match=re.escape(f"{transcript}: cannot read transcript")):
+            ReplayBackend(transcript)
 
     def test_corrupt_transcript_rejected(self, tmp_path):
         transcript = tmp_path / "bad.jsonl"

@@ -12,6 +12,7 @@ from conftest import HOSTILE_DOCUMENTS
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blockspot.geometry import AlignedRect, quad_bounds
 from blockspot.model import (
     Block,
     Document,
@@ -355,12 +356,11 @@ class TestQuadMatchesReference:
         assert quad_decision(points) == reference_quad(points) == ("non-finite", None)
 
 
-def two_pass_quad(points, flip=True):
-    """``Quad.from_points`` (or with ``flip=False`` ``Quad(...)``) as it was
-    when the crosses were computed twice: once for the winding flip, once
-    more on the vertices kept."""
+def two_pass_quad(points):
+    """``Quad.from_points`` as it was when the crosses were computed twice:
+    once for the winding flip, once more on the vertices kept."""
     pts = tuple((float(x), float(y)) for x, y in points)
-    if flip and len(pts) == 4 and sum(_corner_crosses(pts)) < 0:
+    if len(pts) == 4 and sum(_corner_crosses(pts)) < 0:
         pts = (pts[0], pts[3], pts[2], pts[1])
     if len(pts) != 4:
         raise ValueError(f"quad needs 4 vertices, got {len(pts)}")
@@ -414,9 +414,27 @@ class TestQuadMatchesTwoPass:
     @settings(max_examples=500, deadline=None)
     @given(_ANY_QUAD)
     def test_direct_construction(self, points):
-        # Quad(...) keeps the vertices given, so clockwise input is rejected
+        # Quad(...) follows the winding rule of from_points: clockwise input is reversed
         pts = tuple((float(x), float(y)) for x, y in points)
-        assert outcome(lambda q: Quad(q).vertices, pts) == outcome(lambda q: two_pass_quad(q, flip=False), pts)
+        assert outcome(lambda q: Quad(q).vertices, pts) == outcome(two_pass_quad, pts)
+
+
+class TestQuadBounds:
+    """``Quad.bounds`` is the axis-aligned box of the vertices, and only a cache."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_ANY_QUAD)
+    def test_bounds_of_every_accepted_quad(self, points):
+        pts = tuple((float(x), float(y)) for x, y in points)
+        try:
+            quad = Quad(pts)
+        except ValueError:
+            return
+        assert quad.bounds == quad_bounds(pts) == quad_bounds(quad.vertices)
+        twin = Quad(quad.vertices)
+        object.__setattr__(twin, "bounds", AlignedRect(0, 0, 1, 1))
+        assert twin == quad and hash(twin) == hash(quad)
+        assert repr(twin) == repr(quad) == f"Quad(vertices={quad.vertices!r})"
 
 
 class TestText:

@@ -12,7 +12,7 @@ import json
 import random
 from pathlib import Path
 
-from blockspot.geometry import translate_block_boxes
+from blockspot.geometry import quad_bounds, translate_block_boxes
 from blockspot.prompting import BlockPromptInput, build_prompt
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "prompts.json"
@@ -48,7 +48,7 @@ def fixture_inputs(count: int = 50) -> list[BlockPromptInput]:
             h = rng.uniform(6, 60)
             quads.append(((x, y), (x + w, y), (x + w, y + h), (x, y + h)))
             y += h + rng.uniform(2, 40)
-        boxes = translate_block_boxes(quads)
+        boxes = translate_block_boxes([quad_bounds(q) for q in quads])
         inputs.append(BlockPromptInput(entries=tuple(zip(texts, boxes))))
     return inputs
 
