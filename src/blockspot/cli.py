@@ -164,7 +164,7 @@ def _make_backend(settings: Settings, config: LlmConfig) -> LlmBackend | None:
             raise BackendConfigError(f"scripted replies file not found: {arg}")
         try:
             return ScriptedBackend.from_json(arg)
-        except (LlmRequestError, ValueError) as e:
+        except LlmRequestError as e:
             raise BackendConfigError(str(e)) from e
     if kind == "replay":
         if not arg or not Path(arg).is_file():

@@ -7,14 +7,19 @@ of ``corpus`` with the lowest Levenshtein distance to ``query``.
 does not occur does it run the bit-parallel edit DP of Myers (1999): a
 search pass over the reversed strings gives the best distance for every
 start, and one anchored pass (Hyyrö 2003) from the smallest winning start
-gives the shortest winning end.  Either way the result is the same as
-literally enumerating all substrings; the DP takes O(len(corpus))
-big-integer steps per pass.
+gives the shortest winning end.  For a query of 12 or more characters a
+pigeonhole filter first finds the query's pieces with ``str.find`` and
+runs the DP over the corpus window they allow, falling back to the whole
+corpus when the window's answer is too far to be trusted.  Every path
+gives the same result as literally enumerating all substrings; the DP
+takes O(len(text)) big-integer steps per pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+_PIECE = 6  # the pigeonhole filter cuts a query into pieces of 6 to 11 characters
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,18 @@ def levenshtein(a: str, b: str) -> int:
     return _edit_row(a, b, free_start=False)[-1]
 
 
+def _search(query: str, text: str) -> tuple[int, int, int]:
+    """``(start, end, distance)`` of the best substring of ``text``, by the DP."""
+    # by_start[s]: best distance between query and any text[s:e]
+    by_start = _edit_row(query[::-1], text[::-1], free_start=True)[::-1]
+    distance = min(by_start)
+    start = by_start.index(distance)
+    # a substring within `distance` edits is at most len(query) + distance long
+    window = text[start : start + len(query) + distance]
+    end = start + _edit_row(query, window, free_start=False).index(distance)
+    return start, end, distance
+
+
 def best_fuzzy_substring(query: str, corpus: str) -> MatchResult:
     """Exact best match over every substring of ``corpus``.
 
@@ -88,17 +105,41 @@ def best_fuzzy_substring(query: str, corpus: str) -> MatchResult:
 
     An exact occurrence is returned first, without the DP: distance 0 means
     the substring equals ``query``, so the first occurrence is the smallest
-    winning start and ``len(query)`` the only winning length.  The DP runs
-    only when ``query`` does not occur in ``corpus``.
+    winning start and ``len(query)`` the only winning length.
+
+    Otherwise the query is cut into ``p = len(query) // _PIECE`` disjoint
+    pieces, and ``k = p - 1`` (with one piece, ``k = 0`` is the exact
+    occurrence already ruled out).  Any substring within ``k`` edits holds
+    one piece verbatim, shifted by at most ``k`` from the piece's offset in
+    the query (pigeonhole; Wu & Manber 1992, Navarro 2001), so it starts
+    within ``k`` of some ``str.find`` hit minus that offset and is at most
+    ``len(query) + k`` long.  The DP runs
+    over the one window spanning all those starts; its answer stands if it
+    is within ``k`` edits, since every such substring, and so every winner
+    and the tie-break, lies inside the window, or if the window is the
+    whole corpus.  In every other case the DP runs over the whole corpus.
     """
     start = corpus.find(query)  # 0 for an empty query
     if start >= 0:
         return MatchResult(query, start, start + len(query), 0)
-    # by_start[s]: best distance between query and any corpus[s:e]
-    by_start = _edit_row(query[::-1], corpus[::-1], free_start=True)[::-1]
-    distance = min(by_start)
-    start = by_start.index(distance)
-    # a substring within `distance` edits is at most len(query) + distance long
-    window = corpus[start : start + len(query) + distance]
-    end = start + _edit_row(query, window, free_start=False).index(distance)
+    m = len(query)
+    p = m // _PIECE
+    if p > 1:
+        k = p - 1
+        starts = []
+        for i in range(p):
+            offset = i * m // p
+            piece = query[offset : (i + 1) * m // p]
+            hit = corpus.find(piece)
+            if hit >= 0:
+                starts += (hit - offset, corpus.rfind(piece) - offset)
+        if starts:
+            base = max(min(starts) - k, 0)
+            window = corpus[base : max(starts) + m + 2 * k]
+            start, end, distance = _search(query, window)
+            if distance <= k or len(window) == len(corpus):
+                start += base
+                end += base
+                return MatchResult(corpus[start:end], start, end, distance)
+    start, end, distance = _search(query, corpus)
     return MatchResult(corpus[start:end], start, end, distance)

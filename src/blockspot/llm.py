@@ -23,13 +23,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol
-
-import requests
-from requests.exceptions import InvalidHeader, InvalidSchema, InvalidURL, MissingSchema
+from typing import TYPE_CHECKING, Mapping, Protocol
 
 from .model import LONE_SURROGATE
 from .prompting import ChatPrompt
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "BLOCKSPOT_API_KEY"
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
@@ -169,9 +169,14 @@ class HttpBackend:
     AUTH_STATUS = {401, 403}
 
     def __init__(self, session: requests.Session | None = None):
+        import requests  # imported here so that offline backends never load it
+
         self._session = session or requests.Session()
 
     def send(self, prompt: ChatPrompt, config: LlmConfig, key: str) -> LlmReply:
+        import requests
+        from requests.exceptions import InvalidHeader, InvalidSchema, InvalidURL, MissingSchema
+
         if not config.api_key:
             raise LlmAuthError(f"no API key; set {API_KEY_ENV} or config.api_key")
         payload = {
@@ -227,7 +232,10 @@ class ScriptedBackend:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScriptedBackend":
-        data = json.loads(Path(path).read_text("utf-8"))
+        try:
+            data = json.loads(Path(path).read_text("utf-8"))
+        except (OSError, ValueError) as e:  # UnicodeDecodeError is a ValueError
+            raise LlmRequestError(f"{path}: cannot read scripted replies: {e}") from e
         if not isinstance(data, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in data.items()
         ):

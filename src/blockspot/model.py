@@ -78,7 +78,7 @@ class Quad:
         if not math.isfinite(area4):
             raise ValueError(f"non-finite vertex in {pts}")
         if area4 <= 0:
-            raise ValueError("quad vertices must wind counter-clockwise with area > 0")
+            raise ValueError("quad has zero area (collinear, repeated or crossing vertices)")
         if min(crosses) < -1e-9 * max(crosses):  # a corner turning the other way
             raise ValueError("quad is not convex")
         object.__setattr__(self, "bounds", quad_bounds(pts))

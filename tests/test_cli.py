@@ -5,13 +5,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import HOSTILE_DOCUMENTS, StubHandler, ok_reply, sign_doc, sign_gt, synthetic_gt
 
+import blockspot
 from blockspot import cli, pipeline
 from blockspot.cli import main
 from blockspot.llm import DEFAULT_ENDPOINT
@@ -68,6 +73,19 @@ class TestOrder:
         )
         assert code == 3
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json"], ids=["undecodable", "not-json"])
+    def test_unreadable_scripted_file_exits_3_and_names_path(
+        self, tmp_path, sign_fixture, capsys, content
+    ):
+        doc_path, _ = sign_fixture
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(content)
+        out = tmp_path / "o.json"
+        code = main(["order", str(doc_path), "--backend", f"scripted:{bad}", "--out", str(out)])
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_http_without_key_exits_3(self, tmp_path, sign_fixture, monkeypatch):
         monkeypatch.delenv("BLOCKSPOT_API_KEY", raising=False)
@@ -630,3 +648,18 @@ class TestArgvFuzz:
                     assert err.getvalue().startswith("error: ")
         if code:
             assert list(out.iterdir()) == []  # a failed run leaves no output
+
+
+def test_import_leaves_requests_and_difflib_unloaded():
+    # an offline run never pays for the HTTP stack, and no kernel uses difflib
+    src = str(Path(blockspot.__file__).resolve().parent.parent)
+    code = "import sys, blockspot, blockspot.cli; print(sorted({'requests', 'difflib'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

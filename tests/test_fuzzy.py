@@ -5,17 +5,18 @@ truth here: ``enumerate_best`` literally scores every substring, and
 ``exact_best`` derives the same answer from a reversed semi-global pass
 plus one anchored row of the plain DP, fast enough for long corpora.
 ``best_fuzzy_substring`` answers an exact occurrence with ``str.find`` and
-otherwise runs the same two passes bit-parallel; either way it must match
-them exactly, tie-break included.  ``levenshtein`` must equal the plain
-DP's anchored row.
+otherwise runs the same two passes bit-parallel, over a pigeonhole window
+of the corpus or over all of it; every path must match them exactly,
+tie-break included.  ``levenshtein`` must equal the plain DP's anchored row.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from blockspot import fuzzy
@@ -305,3 +306,101 @@ class TestExactOccurrence:
         assert best_fuzzy_substring("CYCL", corpus) == MatchResult("CYCL", 19, 23, 0)
         assert best_fuzzy_substring("", corpus) == MatchResult("", 0, 0, 0)
         assert best_fuzzy_substring(corpus, corpus) == MatchResult(corpus, 0, 26, 0)
+
+
+def traced_search(query: str, corpus: str) -> tuple[MatchResult, list[int]]:
+    """The search's result and the length of the text each of its search
+    (free-start) passes scanned: none for an exact occurrence, one shorter
+    than the corpus for an accepted window, the whole corpus last otherwise."""
+    with mock.patch.object(fuzzy, "_edit_row", wraps=fuzzy._edit_row) as spy:
+        result = best_fuzzy_substring(query, corpus)
+    return result, [len(c.args[1]) for c in spy.call_args_list if c.kwargs["free_start"]]
+
+
+def search_path(lengths: list[int], corpus: str) -> str:
+    if not lengths:
+        return "exact"
+    if lengths == [len(corpus)]:
+        return "full"
+    return "window" if len(lengths) == 1 else "fallback"
+
+
+def _planted_pairs() -> tuple[tuple[str, str], tuple[str, str]]:
+    """A 60-character slice of a 600-character corpus (10 pieces, k = 9),
+    once with 2 substitutions and once with only its first piece intact."""
+    rng = random.Random(46)
+    corpus = normal_string(rng, 600)
+    piece = corpus[300:360]
+    near = piece[:20] + "#" + piece[21:40] + "#" + piece[41:]
+    far = piece[:6] + "#" * 54
+    return (near, corpus), (far, corpus)
+
+
+NEAR_PAIR, FAR_PAIR = _planted_pairs()
+
+
+@st.composite
+def corrupted_slice(draw) -> tuple[str, str]:
+    """A corpus over 2 or 3 letters and a slice of it of at least 12
+    characters, corrupted by up to a third as many edits."""
+    alphabet = draw(st.sampled_from(("ab", "abc", "e\u0301\U0001f600")))
+    corpus = draw(st.text(alphabet=alphabet, min_size=12, max_size=150))
+    lo = draw(st.integers(0, len(corpus) - 12))
+    query = list(corpus[lo : draw(st.integers(lo + 12, len(corpus)))])
+    for _ in range(draw(st.integers(0, len(query) // 3))):
+        i = draw(st.integers(0, len(query) - 1))
+        op = draw(st.sampled_from("sid" if len(query) > 12 else "si"))
+        if op == "d":
+            del query[i]
+        else:
+            query[i : i + (op == "s")] = draw(st.sampled_from(alphabet))
+    return "".join(query), corpus
+
+
+class TestPigeonholeFilter:
+    """Queries of 12 or more characters that do not occur verbatim."""
+
+    @given(corrupted_slice())
+    @example(NEAR_PAIR)
+    @example(FAR_PAIR)
+    @settings(max_examples=300, deadline=None)
+    def test_every_path_matches_oracle(self, pair):
+        query, corpus = pair
+        got, lengths = traced_search(query, corpus)
+        event(search_path(lengths, corpus))
+        assert got == exact_best(query, corpus), (query, corpus)
+        if len(corpus) <= 20:
+            assert got == enumerate_best(query, corpus), (query, corpus)
+
+    def test_near_pair_searches_a_window(self):
+        query, corpus = NEAR_PAIR
+        got, lengths = traced_search(query, corpus)
+        assert search_path(lengths, corpus) == "window"
+        # every piece hits only there: k before the slice, and m + 2k from it
+        assert lengths[0] == len(query) + 3 * 9 < len(corpus)
+        assert got == MatchResult(corpus[300:360], 300, 360, 2)
+
+    def test_far_pair_falls_back_to_the_whole_corpus(self):
+        query, corpus = FAR_PAIR
+        got, lengths = traced_search(query, corpus)
+        assert search_path(lengths, corpus) == "fallback"
+        assert lengths[0] < len(corpus) == lengths[1]
+        assert got.distance > len(query) // 6 - 1
+        assert got == exact_best(query, corpus)
+
+    def test_both_paths_occur_among_random_slices(self):
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(200):
+            alphabet = rng.choice(("ab", "abc"))
+            corpus = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 200)))
+            lo = rng.randint(0, len(corpus) - 30)
+            rate = rng.choice((0.05, 0.4))  # substitutions mostly within k, or mostly beyond it
+            query = "".join(
+                c if rng.random() > rate else rng.choice(alphabet)
+                for c in corpus[lo : lo + rng.randint(12, 30)]
+            )
+            got, lengths = traced_search(query, corpus)
+            seen.add(search_path(lengths, corpus))
+            assert got == exact_best(query, corpus), (query, corpus)
+        assert {"window", "fallback"} <= seen

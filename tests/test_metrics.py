@@ -4,13 +4,16 @@ The Jaro-Winkler reference below is written from the definition with a
 different structure (explicit match lists).  ``jaro_window_loop`` and
 ``winkler_prefix_loop`` are the library's former window-scanning Jaro and
 prefix loop, kept as a second reference that the library must equal bit
-for bit.  The library computes Ratcliff-Obershelp with difflib's
-SequenceMatcher; its reference here is a direct leftmost-longest common
-substring decomposition, which must give the same float bit for bit.
+for bit.  The library computes Ratcliff-Obershelp by growing each
+leftmost-longest match with ``str.find``; its references here are a direct
+leftmost-longest common substring decomposition and difflib's
+``SequenceMatcher`` without autojunk, which must both give the same float
+bit for bit.
 """
 
 from __future__ import annotations
 
+import difflib
 import random
 from functools import lru_cache
 
@@ -18,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockspot import metrics
 from blockspot.fuzzy import best_fuzzy_substring
 from blockspot.metrics import (
     MetricVector,
@@ -272,7 +274,7 @@ class TestRatcliffObershelp:
 
     def test_long_strings_keep_popular_characters(self):
         # from 200 characters on, difflib's autojunk heuristic would drop
-        # frequent characters from b; the library must turn it off
+        # frequent characters from b; the library must keep them
         rng = random.Random(4)
         for alphabet in ("ab", "abc", ALPHABET):
             for _ in range(3):
@@ -299,13 +301,29 @@ class TestRatcliffObershelp:
     def test_equal_strings_equal_decomposition(self, s):
         assert ratcliff_obershelp(s, s) == ro_reference(s, s) == 1.0
 
-    def test_equal_strings_skip_difflib(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("SequenceMatcher built for equal strings")
+    @given(
+        st.sampled_from(["ab", "e\u0301", "\U0001f600 "]).flatmap(
+            lambda alphabet: st.tuples(
+                st.text(alphabet=alphabet, max_size=80), st.text(alphabet=alphabet, max_size=80)
+            )
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_two_letters_equal_difflib_bit_for_bit(self, pair):
+        # two letters give the most equal-length candidates for each longest match
+        a, b = pair
+        want = difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()
+        assert ratcliff_obershelp(a, b) == ro_reference(a, b) == want
 
-        monkeypatch.setattr(metrics, "SequenceMatcher", refuse)
-        for s in ("", "same text", "e\u0301\U0001f600"):
-            assert ratcliff_obershelp(s, s) == 1.0
+    @pytest.mark.parametrize(
+        "a, b",
+        [("a" * 3000, "a" * 2999 + "b"), ("ab" * 1500, "ba" * 1500)],
+        ids=["run-vs-run-and-b", "ab-vs-ba"],
+    )
+    def test_long_repetitive_pairs_closed_form(self, a, b):
+        # one match of 2999 characters (for "ab"*1500, a[0:2999] == b[1:3000]
+        # is the leftmost), and the single characters left over differ
+        assert ratcliff_obershelp(a, b) == 2.0 * 2999 / 6000
 
 
 class TestProperties:

@@ -89,7 +89,7 @@ def reference_quad(points):
     if not all(_finite(x) and _finite(y) for x, y in pts):
         return "non-finite", None
     if shoelace_area(pts) <= 0:
-        return "winding", None
+        return "zero-area", None
     if not _is_convex(pts):
         return "convex", None
     return "ok", pts
@@ -99,7 +99,7 @@ def quad_decision(points):
     try:
         return "ok", Quad.from_points(points).vertices
     except ValueError as e:
-        classes = (("non-finite", "non-finite"), ("winding", "counter-clockwise"), ("convex", "convex"))
+        classes = (("non-finite", "non-finite"), ("zero-area", "zero area"), ("convex", "convex"))
         for cls, needle in classes:
             if needle in str(e):
                 return cls, None
@@ -369,7 +369,7 @@ def two_pass_quad(points):
     if not math.isfinite(area4):
         raise ValueError(f"non-finite vertex in {pts}")
     if area4 <= 0:
-        raise ValueError("quad vertices must wind counter-clockwise with area > 0")
+        raise ValueError("quad has zero area (collinear, repeated or crossing vertices)")
     if min(crosses) < -1e-9 * max(crosses):
         raise ValueError("quad is not convex")
     return pts
