@@ -17,7 +17,6 @@ from .geometry import (
     rect_iou,
     snap_rotation,
     split_for_recognizer,
-    translate_block_boxes,
 )
 from .llm import (
     FinishReason,
@@ -69,12 +68,6 @@ from .pipeline import (
     recognize_document,
     run,
 )
-from .prompting import (
-    BlockPromptInput,
-    ChatPrompt,
-    build_prompt,
-    expected_length,
-    length_guard,
-)
+from .prompting import ChatPrompt, build_prompt, length_guard
 
 __version__ = "0.1.0"

@@ -1,9 +1,8 @@
 """Quadrilateral geometry for detected text lines.
 
 Covers the per-line preprocessing plan (rotation snapping, crop rectangles,
-aspect-preserving splits for the recognizer), closed-form IoU between
-axis-aligned rectangles, and the integer box translation used when boxes
-are emitted into prompts.
+aspect-preserving splits for the recognizer) and closed-form IoU between
+axis-aligned rectangles.
 """
 
 from __future__ import annotations
@@ -156,31 +155,3 @@ def rect_iou(a: AlignedRect, b: AlignedRect) -> float:
         return 0.0
     inter = w * h
     return inter / (a.width * a.height + b.width * b.height - inter)
-
-
-def round_half_away_from_zero(x: float) -> int:
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
-
-
-def translate_block_boxes(bounds: Sequence[AlignedRect]) -> list[AlignedRect]:
-    """Reduce line bounds to integer boxes anchored at the block origin.
-
-    All boxes are shifted so the block-wide minimum x and y are 0, and
-    coordinates are rounded half away from zero.  Boxes thinner than a
-    pixel after rounding are widened to 1 so the result stays a valid
-    rectangle.
-    """
-    if not bounds:
-        raise GeometryError("no boxes to translate")
-    off_x = min(r.x_min for r in bounds)
-    off_y = min(r.y_min for r in bounds)
-    out = []
-    for r in bounds:
-        x0 = round_half_away_from_zero(r.x_min - off_x)
-        y0 = round_half_away_from_zero(r.y_min - off_y)
-        x1 = round_half_away_from_zero(r.x_max - off_x)
-        y1 = round_half_away_from_zero(r.y_max - off_y)
-        out.append(AlignedRect(x0, y0, max(x1, x0 + 1), max(y1, y0 + 1)))
-    return out

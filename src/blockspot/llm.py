@@ -99,7 +99,6 @@ class LlmReply:
 
     text: str
     finish_reason: FinishReason = FinishReason.COMPLETE
-    latency: float = 0.0
 
     def __post_init__(self) -> None:
         if self.finish_reason is FinishReason.COMPLETE and not self.text:
@@ -135,7 +134,6 @@ def complete(
     for attempt in range(attempts):
         if attempt:
             time.sleep(config.retry_backoff * 2 ** (attempt - 1))
-        started = time.monotonic()
         try:
             reply = backend.send(prompt, config, key)
         except LlmTransientError as e:
@@ -150,11 +148,7 @@ def complete(
             raise LlmRequestError(f"backend returned an empty reply (key={key!r})")
         if LONE_SURROGATE.search(text):
             raise LlmRequestError(f"reply holds a lone surrogate (key={key!r})")
-        return LlmReply(
-            text=text,
-            finish_reason=FinishReason.COMPLETE,
-            latency=time.monotonic() - started,
-        )
+        return LlmReply(text=text)
     raise LlmTransientError(f"gave up after {attempts} attempts: {last}")
 
 

@@ -9,10 +9,10 @@ refuses fails the whole run.  Every block always ends up with a text and
 an :class:`OrderingOutcome` explaining which strategy produced it.
 :func:`run` orders the blocks in a plain loop when there is no backend
 (the work is pure Python, which threads cannot speed up).  With a backend
-it times each block that sent a request and keeps the blocks in a small
-thread pool, so that provider waits overlap, until a run of that backend
-shows its sends do not wait (an offline replay or a scripted backend);
-from then on that backend's blocks are ordered in the plain loop too.
+it keeps the blocks in a small thread pool, so that provider waits overlap,
+until the ``OrderingOutcome.wait_s`` of a run of that backend show its
+sends do not wait (an offline replay or a scripted backend); from then on
+that backend's blocks are ordered in the plain loop too.
 
 The recognizer side is an interface: :func:`plan_recognition` describes the
 rotate/crop/split work per line, an external engine fills in part texts,
@@ -27,7 +27,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Protocol, Sequence
 
 from .geo_order import geometric_order
@@ -38,26 +38,18 @@ from .geometry import (
     crop_rect,
     snap_rotation,
     split_for_recognizer,
-    translate_block_boxes,
 )
 from .llm import LlmBackend, LlmConfig, LlmError, LlmRefusedError, complete, fits_context
-from .model import Block, Document, Line
-from .prompting import (
-    BlockPromptInput,
-    ChatPrompt,
-    build_prompt,
-    expected_length,
-    length_guard,
-)
+from .model import Block, Document
+from .prompting import ChatPrompt, build_prompt, length_guard
 
 # Blocks in flight at once while a backend's sends wait; only provider
 # waits overlap, because the GIL serializes the pure-Python work around
-# them.  A backend whose last run had a median wait (wall minus thread CPU
-# time per sending block) of at most _WAIT_S is in _IDLE_BACKENDS and gets
-# no pool: 2 ms lies above a pooled replay run's median (under 0.25 ms in
-# 99% of runs on a 2-vCPU VM) and below a real provider round trip.  A
-# median, because host noise alone can hold one serial block off the CPU
-# for several milliseconds.
+# them.  A backend whose last run had a median OrderingOutcome.wait_s of at
+# most _WAIT_S is in _IDLE_BACKENDS and gets no pool: 2 ms lies above a
+# pooled replay run's median (under 0.25 ms in 99% of runs on a 2-vCPU VM)
+# and below a real provider round trip.  A median, because host noise alone
+# can hold one serial block off the CPU for several milliseconds.
 _BACKEND_WORKERS = 4
 _WAIT_S = 0.002
 _IDLE_BACKENDS: weakref.WeakSet = weakref.WeakSet()
@@ -76,21 +68,21 @@ class Strategy(enum.Enum):
     GEOMETRIC_ONLY = "geometric_only"  # LLM disabled by configuration
 
 
-# the strategies of blocks whose request reached the backend
-_SENT = frozenset(
-    {Strategy.LLM, Strategy.GEOMETRIC_FALLBACK_LENGTH, Strategy.GEOMETRIC_FALLBACK_ERROR}
-)
-
-
 @dataclass(frozen=True)
 class OrderingOutcome:
-    """How one block's text was produced."""
+    """How one block's text was produced.
+
+    ``wait_s`` is set on the blocks that sent a request: the wall time of
+    the send, retries included, minus the CPU time its thread spent.
+    ``==`` ignores it.
+    """
 
     block_ref: int
     strategy: Strategy
     block_text: str
     expected_len: int
     llm_len: int | None = None
+    wait_s: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.strategy is Strategy.LLM and self.llm_len is None:
@@ -120,14 +112,7 @@ class ScriptedRecognizer:
         self._parts = {k: list(v) for k, v in parts_by_line.items()}
 
     def recognize_parts(self, request: RecognizerRequest) -> Sequence[str]:
-        parts = self._parts.get(request.line_id)
-        if parts is None:
-            return [""] * len(request.parts)
-        if len(parts) != len(request.parts):
-            raise ValueError(
-                f"line {request.line_id}: scripted {len(parts)} parts, planned {len(request.parts)}"
-            )
-        return parts
+        return self._parts.get(request.line_id, [""] * len(request.parts))
 
 
 class EchoRecognizer:
@@ -171,7 +156,11 @@ def assemble_line_text(part_texts: Sequence[str]) -> str:
 def recognize_document(
     doc: Document, recognizer: Recognizer, spec: RecognizerSpec | None = None
 ) -> Document:
-    """Run the recognition plan and return a document with line texts set."""
+    """Run the recognition plan and return a document with line texts set.
+
+    A line whose text is unchanged is kept as it is, and a document with no
+    changed line is returned itself.
+    """
     texts: dict[int, str] = {}
     for request in plan_recognition(doc, spec):
         parts = recognizer.recognize_parts(request)
@@ -181,17 +170,20 @@ def recognize_document(
                 f"expected {len(request.parts)}"
             )
         texts[request.line_id] = assemble_line_text(parts)
-    new_lines = tuple(replace(line, text=texts[line.id]) for line in doc.lines)
-    return replace(doc, lines=new_lines)
+    new_lines = tuple(
+        line if line.text == texts[line.id] else replace(line, text=texts[line.id])
+        for line in doc.lines
+    )
+    return doc if new_lines == doc.lines else replace(doc, lines=new_lines)
 
 
-def _geometric_entries(doc: Document, block: Block) -> tuple[list[Line], list[str]]:
-    """Block lines in geometric order, with their texts."""
+def _geometric_entries(doc: Document, block: Block) -> tuple[list[str], list[AlignedRect]]:
+    """Texts and bounds of the block's lines, in geometric order."""
     lines = [doc.line_by_id(lid) for lid in block.line_ids]
     order = geometric_order(lines)
     by_id = {line.id: line for line in lines}
     ordered = [by_id[lid] for lid in order]
-    return ordered, [line.text for line in ordered]
+    return [line.text for line in ordered], [line.box.bounds for line in ordered]
 
 
 def block_key(block_index: int) -> str:
@@ -199,15 +191,9 @@ def block_key(block_index: int) -> str:
     return f"block-{block_index}"
 
 
-def _prompt_for(ordered: Sequence[Line], texts: Sequence[str]) -> ChatPrompt:
-    """Prompt for lines already in geometric order, boxes block-anchored."""
-    boxes = translate_block_boxes([line.box.bounds for line in ordered])
-    return build_prompt(BlockPromptInput(entries=tuple(zip(texts, boxes))))
-
-
 def build_block_prompt(doc: Document, block: Block) -> ChatPrompt:
     """The exact prompt :func:`order_block` would send for this block."""
-    return _prompt_for(*_geometric_entries(doc, block))
+    return build_prompt(*_geometric_entries(doc, block))
 
 
 def order_block(
@@ -222,7 +208,8 @@ def order_block(
     Backend failures degrade the block to the geometric order, except
     :class:`LlmRefusedError` (rejected credentials, unknown model or
     endpoint), which no other block could escape either and therefore
-    propagates.
+    propagates.  A block that sent a request records how long the send
+    waited in ``wait_s``.
     """
     if len(block.line_ids) == 1:
         line = doc.line_by_id(block.line_ids[0])
@@ -233,41 +220,49 @@ def order_block(
             expected_len=len(line.text),
         )
 
-    ordered, texts = _geometric_entries(doc, block)
-    expected = expected_length(texts)
+    texts, bounds = _geometric_entries(doc, block)
     fallback_text = " ".join(texts)
+    expected = len(fallback_text)
 
-    def fallback(strategy: Strategy, llm_len: int | None = None) -> OrderingOutcome:
+    def fallback(
+        strategy: Strategy, llm_len: int | None = None, wait_s: float | None = None
+    ) -> OrderingOutcome:
         return OrderingOutcome(
             block_ref=block_index,
             strategy=strategy,
             block_text=fallback_text,
             expected_len=expected,
             llm_len=llm_len,
+            wait_s=wait_s,
         )
 
     if backend is None:
         return fallback(Strategy.GEOMETRIC_ONLY)
 
-    prompt = _prompt_for(ordered, texts)
+    prompt = build_prompt(texts, bounds)
     if not fits_context(prompt, config):
         return fallback(Strategy.GEOMETRIC_FALLBACK_CONTEXT)
 
+    wall, cpu = time.perf_counter(), time.thread_time()
     try:
         reply = complete(backend, prompt, config, key=block_key(block_index))
     except LlmRefusedError:
         raise
     except LlmError:
-        return fallback(Strategy.GEOMETRIC_FALLBACK_ERROR)
+        reply = None
+    wait_s = time.perf_counter() - wall - (time.thread_time() - cpu)
 
+    if reply is None:
+        return fallback(Strategy.GEOMETRIC_FALLBACK_ERROR, wait_s=wait_s)
     if not length_guard(reply.text, expected):
-        return fallback(Strategy.GEOMETRIC_FALLBACK_LENGTH, llm_len=len(reply.text))
+        return fallback(Strategy.GEOMETRIC_FALLBACK_LENGTH, len(reply.text), wait_s)
     return OrderingOutcome(
         block_ref=block_index,
         strategy=Strategy.LLM,
         block_text=reply.text,
         expected_len=expected,
         llm_len=len(reply.text),
+        wait_s=wait_s,
     )
 
 
@@ -301,12 +296,12 @@ def run(
 
     Lines outside any block are appended as singleton blocks (in line
     order) so the output covers every detected line.  Without a backend
-    the blocks are ordered in a plain loop.  With one, each block that
-    sent a request is timed (wall minus thread CPU time): a backend whose
-    last run had a median wait of at most ``_WAIT_S`` is ordered in the
-    plain loop too, and every other one (a new one, one whose sends
-    waited, or one that cannot be hashed or weakly referenced) in a fixed
-    pool of threads that overlaps the provider waits.  Results are merged
+    the blocks are ordered in a plain loop.  With one, the pool decision
+    reads the outcomes' ``wait_s``: a backend whose last run had a median
+    wait of at most ``_WAIT_S`` is ordered in the plain loop too, and every
+    other one (a new one, one whose sends waited, or one that cannot be
+    hashed or weakly referenced) in a fixed pool of threads that overlaps
+    the provider waits.  Results are merged
     back in block order either way, so a deterministic backend gives a
     deterministic output.  An :class:`LlmRefusedError` from any block stops
     the blocks not yet started and is re-raised as is; other exceptions are
@@ -327,25 +322,14 @@ def run(
                 refused.set()
             return e
 
-    waits: list[float] = []
-
-    def timed(item: tuple[int, Block]) -> OrderingOutcome | Exception | None:
-        wall, cpu = time.perf_counter(), time.thread_time()
-        result = work(item)
-        if isinstance(result, OrderingOutcome) and result.strategy in _SENT:
-            waits.append(time.perf_counter() - wall - (time.thread_time() - cpu))
-        return result
-
     items = list(enumerate(blocks))
-    if backend is None:
-        results = [work(item) for item in items]
+    if backend is not None and len(items) > 1 and not _is_idle(backend):
+        with ThreadPoolExecutor(max_workers=_BACKEND_WORKERS) as pool:
+            results = list(pool.map(work, items))
     else:
-        if len(items) > 1 and not _is_idle(backend):
-            with ThreadPoolExecutor(max_workers=_BACKEND_WORKERS) as pool:
-                results = list(pool.map(timed, items))
-        else:
-            results = [timed(item) for item in items]
-        _remember(backend, waits)
+        results = [work(item) for item in items]
+    waits = [r.wait_s for r in results if isinstance(r, OrderingOutcome)]
+    _remember(backend, [w for w in waits if w is not None])
 
     if refused.is_set():
         raise next(r for r in results if isinstance(r, LlmRefusedError))

@@ -3,9 +3,11 @@
 The user prompt is a code-interleaved task: one Python function definition
 whose body mixes real control flow with natural-language instructions, and
 one call to it carrying the block's line texts and integer boxes as
-arguments.  The wording lives in ``prompt_template.txt`` (placeholders
-``{{LINES}}`` and ``{{BOXES}}``) and is frozen by golden tests; the system
-prompt suppresses commentary and forces a best-effort answer.
+arguments; the boxes are the lines' bounds anchored at the block minimum
+and rounded to whole pixels.  The wording lives in ``prompt_template.txt``
+(placeholders ``{{LINES}}`` and ``{{BOXES}}``) and is frozen by golden
+tests; the system prompt suppresses commentary and forces a best-effort
+answer.
 
 Also provides the output-length guard: the expected output is the
 space-joined concatenation of the line texts, and a reply shorter than
@@ -15,6 +17,7 @@ half or longer than double that length is rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -39,19 +42,6 @@ class ChatPrompt:
         return len(self.system) + len(self.user)
 
 
-@dataclass(frozen=True)
-class BlockPromptInput:
-    """Line texts and their translated integer boxes, in geometric order."""
-
-    entries: tuple[tuple[str, AlignedRect], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("a block prompt needs at least one line")
-        if min(r.x_min for _, r in self.entries) != 0 or min(r.y_min for _, r in self.entries) != 0:
-            raise ValueError("boxes must be translated so the block minimum is (0, 0)")
-
-
 def _load_template() -> tuple[str, str]:
     raw = resources.files(__package__).joinpath(_TEMPLATE_RESOURCE).read_text("utf-8")
     head, _, rest = raw.partition("[system]\n")
@@ -71,29 +61,35 @@ def render_lines_literal(texts: list[str]) -> str:
     return "[" + ", ".join(json.dumps(t, ensure_ascii=False) for t in texts) + "]"
 
 
-def render_boxes_literal(rects: list[AlignedRect]) -> str:
-    return (
-        "["
-        + ", ".join(
-            f"[{int(r.x_min)}, {int(r.y_min)}, {int(r.x_max)}, {int(r.y_max)}]" for r in rects
-        )
-        + "]"
+def render_boxes_literal(bounds: list[AlignedRect]) -> str:
+    """Python list literal of integer boxes anchored at the block origin.
+
+    All boxes are shifted so the block-wide minimum x and y are 0, and
+    coordinates are rounded half up, which for these non-negative values is
+    half away from zero.  Boxes thinner than a pixel after rounding are
+    widened to 1.
+    """
+    if not bounds:
+        raise ValueError("a block prompt needs at least one line")
+    off_x = min(r.x_min for r in bounds)
+    off_y = min(r.y_min for r in bounds)
+    boxes = []
+    for r in bounds:
+        x0 = math.floor(r.x_min - off_x + 0.5)
+        y0 = math.floor(r.y_min - off_y + 0.5)
+        x1 = math.floor(r.x_max - off_x + 0.5)
+        y1 = math.floor(r.y_max - off_y + 0.5)
+        boxes.append(f"[{x0}, {y0}, {max(x1, x0 + 1)}, {max(y1, y0 + 1)}]")
+    return "[" + ", ".join(boxes) + "]"
+
+
+def build_prompt(texts: list[str], bounds: list[AlignedRect]) -> ChatPrompt:
+    """Deterministically render the prompt for line texts and their bounds,
+    in geometric order; same input, same bytes."""
+    user = _USER_TEMPLATE.replace("{{LINES}}", render_lines_literal(texts)).replace(
+        "{{BOXES}}", render_boxes_literal(bounds)
     )
-
-
-def build_prompt(block_input: BlockPromptInput) -> ChatPrompt:
-    """Deterministically render the block prompt; same input, same bytes."""
-    user = _USER_TEMPLATE.replace(
-        "{{LINES}}", render_lines_literal([t for t, _ in block_input.entries])
-    ).replace("{{BOXES}}", render_boxes_literal([r for _, r in block_input.entries]))
     return ChatPrompt(system=_SYSTEM_TEXT, user=user)
-
-
-def expected_length(texts: list[str]) -> int:
-    """Length of the space-joined concatenation, in unicode code points."""
-    if not texts:
-        raise ValueError("expected_length of an empty block is undefined")
-    return sum(len(t) for t in texts) + len(texts) - 1
 
 
 def length_guard(output: str, expected: int) -> bool:

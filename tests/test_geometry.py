@@ -1,4 +1,4 @@
-"""Geometry tests: rotation snapping, crops, splits, IoU, box translation.
+"""Geometry tests: rotation snapping, crops, splits, IoU, prompt box translation.
 
 ``rect_iou`` has two oracles that share no code with it: convex-polygon
 clipping (Sutherland-Hodgman, valid for any convex quads) and a raster
@@ -7,6 +7,7 @@ count of integer rectangles on a pixel grid.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from typing import Sequence
@@ -25,11 +26,10 @@ from blockspot.geometry import (
     quad_bounds,
     rect_iou,
     rotate_point,
-    round_half_away_from_zero,
     snap_rotation,
     split_for_recognizer,
-    translate_block_boxes,
 )
+from blockspot.prompting import render_boxes_literal
 
 
 def rect_quad(x0, y0, x1, y1):
@@ -323,25 +323,33 @@ class TestRectIoU:
         assert rect_iou(AlignedRect(0, 0, 1.5, 2.5), AlignedRect(1.5, 2.5, 4, 4)) == 0.0
 
 
+def translate_block_boxes(bounds):
+    """The integer boxes a prompt carries for these line bounds."""
+    return [tuple(box) for box in ast.literal_eval(render_boxes_literal(bounds))]
+
+
 class TestTranslateBlockBoxes:
     def test_two_boxes(self):
         out = translate_block_boxes([AlignedRect(5, 7, 9, 11), AlignedRect(6, 3, 12, 9)])
-        assert out == [AlignedRect(0, 4, 4, 8), AlignedRect(1, 0, 7, 6)]
+        assert out == [(0, 4, 4, 8), (1, 0, 7, 6)]
 
     def test_single_box(self):
         out = translate_block_boxes([AlignedRect(100, 200, 150, 240)])
-        assert out == [AlignedRect(0, 0, 50, 40)]
+        assert out == [(0, 0, 50, 40)]
 
     def test_fractional_coordinates(self):
         # translation anchors the block minimum at zero before rounding
         out = translate_block_boxes([AlignedRect(0.4, 0.6, 10.4, 20.6)])
-        assert out == [AlignedRect(0, 0, 10, 20)]
+        assert out == [(0, 0, 10, 20)]
 
     def test_rounding_is_half_away_from_zero(self):
-        assert round_half_away_from_zero(0.5) == 1
-        assert round_half_away_from_zero(1.5) == 2
-        assert round_half_away_from_zero(2.4) == 2
-        assert round_half_away_from_zero(-0.5) == -1
+        # anchored coordinates are never negative, so half rounds up
+        out = translate_block_boxes([AlignedRect(0, 0, 0.5, 1.5), AlignedRect(2.4, 0, 4, 1)])
+        assert out == [(0, 0, 1, 2), (2, 0, 4, 1)]
+
+    def test_sub_pixel_box_widened_to_one(self):
+        out = translate_block_boxes([AlignedRect(0, 0, 10, 10), AlignedRect(3.6, 4.6, 3.9, 4.9)])
+        assert out == [(0, 0, 10, 10), (4, 5, 5, 6)]
 
     def test_min_zero_law(self):
         rng = random.Random(31)
@@ -351,13 +359,13 @@ class TestTranslateBlockBoxes:
                 for _ in range(rng.randint(1, 8))
             ]
             out = translate_block_boxes([quad_bounds(q) for q in quads])
-            assert min(r.x_min for r in out) == 0
-            assert min(r.y_min for r in out) == 0
-            assert all(r.x_min >= 0 and r.y_min >= 0 for r in out)
-            assert all(isinstance(r.x_min, int) for r in out)
+            assert min(x0 for x0, _, _, _ in out) == 0
+            assert min(y0 for _, y0, _, _ in out) == 0
+            assert all(x0 < x1 and y0 < y1 for x0, y0, x1, y1 in out)
+            assert all(isinstance(v, int) for box in out for v in box)
 
     def test_empty_input_raises(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError):
             translate_block_boxes([])
 
 

@@ -177,7 +177,14 @@ class TestRecognizeDocument:
                 make_line(1, 10, 70, 110, 95, "EXIT"),
             ),
         )
-        assert recognize_document(doc, EchoRecognizer(doc)) == doc
+        assert recognize_document(doc, EchoRecognizer(doc)) is doc
+
+    def test_changed_control_character_text_rejected(self):
+        doc = Document(
+            image_width=700, image_height=100, lines=(make_line(0, 10, 70, 110, 95, "EXIT"),)
+        )
+        with pytest.raises(ValueError, match="control characters"):
+            recognize_document(doc, ScriptedRecognizer({0: ["EX\x07IT"]}))
 
 
 class TestOrderBlock:
@@ -498,7 +505,7 @@ class TestPoolPolicy:
         assert backend.peak >= 2
 
     def test_every_sending_block_is_timed(self, monkeypatch):
-        # pool workers append to one list: a lost update would drop a wait
+        # every sending block, pooled under frequent thread switches, hands its wait on
         seen = []
         monkeypatch.setattr(pipeline, "_remember", lambda backend, waits: seen.append(waits))
         monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 8)
@@ -509,8 +516,31 @@ class TestPoolPolicy:
             _, outcomes = run(doc, self.Delayed(0.0), config())
         finally:
             sys.setswitchinterval(switch)
-        sent = [o for o in outcomes if o.strategy in pipeline._SENT]
+        sent = [o for o in outcomes if o.wait_s is not None]
         assert len(sent) == 60 and len(seen) == 1 and len(seen[0]) == 60
+
+    def test_only_sending_blocks_record_a_wait(self, figure_doc):
+        single = Document(
+            image_width=200,
+            image_height=50,
+            lines=(make_line(3, 10, 10, 110, 40, "EXIT"),),
+            blocks=(Block(line_ids=(3,)),),
+        )
+        tight = config(max_context_tokens=50, max_output_tokens=10)
+        block = figure_doc.blocks[0]
+        quiet = [
+            order_block(single, single.blocks[0], self.Delayed(0.020), config(), 0),
+            order_block(figure_doc, block, None, config(), 0),
+            order_block(figure_doc, block, self.Delayed(0.020), tight, 0),
+        ]
+        assert [o.strategy for o in quiet] == [
+            Strategy.SINGLE_LINE,
+            Strategy.GEOMETRIC_ONLY,
+            Strategy.GEOMETRIC_FALLBACK_CONTEXT,
+        ]
+        assert all(o.wait_s is None for o in quiet)
+        sent = order_block(figure_doc, block, self.Delayed(0.020), config(), 0)
+        assert sent.wait_s >= 0.015
 
     @pytest.mark.parametrize("kind", ["slots", "unhashable"])
     def test_unrememberable_backend_gives_order_block_outcomes(self, kind):

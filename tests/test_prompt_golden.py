@@ -12,8 +12,8 @@ import json
 import random
 from pathlib import Path
 
-from blockspot.geometry import quad_bounds, translate_block_boxes
-from blockspot.prompting import BlockPromptInput, build_prompt
+from blockspot.geometry import AlignedRect, quad_bounds
+from blockspot.prompting import build_prompt
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "prompts.json"
 
@@ -33,7 +33,7 @@ TEXT_POOL = (
 )
 
 
-def fixture_inputs(count: int = 50) -> list[BlockPromptInput]:
+def fixture_inputs(count: int = 50) -> list[tuple[list[str], list[AlignedRect]]]:
     """Deterministic synthetic blocks with awkward texts and layouts."""
     rng = random.Random(987654321)
     inputs = []
@@ -48,15 +48,14 @@ def fixture_inputs(count: int = 50) -> list[BlockPromptInput]:
             h = rng.uniform(6, 60)
             quads.append(((x, y), (x + w, y), (x + w, y + h), (x, y + h)))
             y += h + rng.uniform(2, 40)
-        boxes = translate_block_boxes([quad_bounds(q) for q in quads])
-        inputs.append(BlockPromptInput(entries=tuple(zip(texts, boxes))))
+        inputs.append((texts, [quad_bounds(q) for q in quads]))
     return inputs
 
 
 def build_all() -> list[dict[str, str]]:
     return [
         {"system": prompt.system, "user": prompt.user}
-        for prompt in (build_prompt(block) for block in fixture_inputs())
+        for prompt in (build_prompt(*block) for block in fixture_inputs())
     ]
 
 

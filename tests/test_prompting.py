@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from blockspot.geometry import AlignedRect
 from blockspot.prompting import (
-    BlockPromptInput,
     ChatPrompt,
     build_prompt,
-    expected_length,
     length_guard,
     render_boxes_literal,
     render_lines_literal,
@@ -22,9 +20,8 @@ from blockspot.prompting import (
 
 
 def block_input(*entries):
-    return BlockPromptInput(
-        entries=tuple((text, AlignedRect(*box)) for text, box in entries)
-    )
+    """(texts, bounds) for ``build_prompt`` from (text, box) pairs."""
+    return [text for text, _ in entries], [AlignedRect(*box) for _, box in entries]
 
 
 FIGURE_INPUT = block_input(
@@ -35,7 +32,7 @@ FIGURE_INPUT = block_input(
 
 class TestBuildPrompt:
     def test_texts_and_boxes_appear_verbatim(self):
-        prompt = build_prompt(FIGURE_INPUT)
+        prompt = build_prompt(*FIGURE_INPUT)
         assert '"20 REASONS"' in prompt.user
         assert '"TO LOVE CYCLING"' in prompt.user
         assert "[0, 28, 190, 55]" in prompt.user
@@ -44,41 +41,42 @@ class TestBuildPrompt:
         assert prompt.user.index("20 REASONS") < prompt.user.index("TO LOVE CYCLING")
 
     def test_one_definition_one_call(self):
-        prompt = build_prompt(FIGURE_INPUT)
+        prompt = build_prompt(*FIGURE_INPUT)
         assert prompt.user.count("def your_task") == 1
         assert prompt.user.count("your_task(") == 2  # the def line plus the call
 
     def test_system_prompt_nonempty_and_constant(self):
-        a = build_prompt(FIGURE_INPUT)
-        b = build_prompt(block_input(("EXIT", (0, 0, 40, 12))))
+        a = build_prompt(*FIGURE_INPUT)
+        b = build_prompt(*block_input(("EXIT", (0, 0, 40, 12))))
         assert a.system == b.system
         assert a.system
 
     def test_deterministic_bytes(self):
-        one = build_prompt(FIGURE_INPUT)
-        two = build_prompt(FIGURE_INPUT)
+        one = build_prompt(*FIGURE_INPUT)
+        two = build_prompt(*FIGURE_INPUT)
         assert one == two
         assert one.user.encode() == two.user.encode()
 
     def test_quote_characters_escaped_as_code(self):
         tricky = 'SAY "HI" \\ NOW'
-        prompt = build_prompt(block_input((tricky, (0, 0, 50, 10))))
+        prompt = build_prompt(*block_input((tricky, (0, 0, 50, 10))))
         call_args = render_lines_literal([tricky])
         assert call_args in prompt.user
         assert ast.literal_eval(call_args) == [tricky]
 
     def test_single_entry_prompt_well_formed(self):
-        prompt = build_prompt(block_input(("EXIT", (0, 0, 40, 12))))
+        prompt = build_prompt(*block_input(("EXIT", (0, 0, 40, 12))))
         assert '"EXIT"' in prompt.user
         assert prompt.user.count("your_task(") == 2
 
     def test_requires_translated_boxes(self):
-        with pytest.raises(ValueError, match="translated"):
-            block_input(("X", (5, 5, 10, 10)))
+        # the prompt anchors raw bounds at the block minimum itself
+        prompt = build_prompt(*block_input(("X", (5, 5, 10, 10))))
+        assert "[[0, 0, 5, 5]]" in prompt.user
 
     def test_requires_entries(self):
         with pytest.raises(ValueError):
-            BlockPromptInput(entries=())
+            build_prompt([], [])
 
     def test_rendered_literals_parse_as_python(self):
         rng = random.Random(47)
@@ -97,24 +95,6 @@ class TestBuildPrompt:
     def test_chat_prompt_validates(self):
         with pytest.raises(ValueError):
             ChatPrompt(system="", user="x")
-
-
-class TestExpectedLength:
-    def test_figure_pair(self):
-        assert expected_length(["20 REASONS", "TO LOVE CYCLING"]) == 26
-
-    def test_single(self):
-        assert expected_length(["EXIT"]) == 4
-
-    def test_three_short(self):
-        assert expected_length(["a", "b", "c"]) == 5
-
-    def test_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            expected_length([])
-
-    def test_counts_code_points_not_bytes(self):
-        assert expected_length(["ÉÉ", "À"]) == 4
 
 
 class TestLengthGuard:
@@ -138,7 +118,6 @@ class TestLengthGuard:
     @settings(max_examples=200, deadline=None)
     def test_space_join_always_accepted(self, texts):
         joined = " ".join(texts)
-        assert len(joined) == expected_length(texts)
         # a lone empty text gives expected 0, outside the guard's domain
-        assume(expected_length(texts) >= 1)
-        assert length_guard(joined, expected_length(texts)) is True
+        assume(len(joined) >= 1)
+        assert length_guard(joined, len(joined)) is True
