@@ -5,8 +5,8 @@ line is rotated to the nearest axis, cropped, and cut into parts that
 keep the recognizer's 32x128 aspect ratio.
 """
 
-from blockspot import RecognizerSpec, crop_rect, rect_iou, snap_rotation, split_for_recognizer
-from blockspot.geometry import quad_bounds, rotate_point
+from blockspot import crop_rect, rect_iou, snap_rotation, split_for_recognizer
+from blockspot.geometry import RECOGNIZER_ASPECT, quad_bounds, rotate_point
 
 # a 400x50 line tilted by 30 degrees
 upright = [(100, 300), (500, 300), (500, 350), (100, 350)]
@@ -18,9 +18,8 @@ print(f"detected tilt compensated by rotating {theta:+.1f} degrees")
 crop = crop_rect(tilted, theta)
 print(f"crop window after rotation: {crop.width:.0f} x {crop.height:.0f} px")
 
-spec = RecognizerSpec()  # height 32, width 128 -> aspect 4.0
-parts = split_for_recognizer(crop, spec)
-print(f"split into {len(parts)} parts of {parts[0].width:.1f} px each:")
+parts = split_for_recognizer(crop)
+print(f"split into {len(parts)} parts of {parts[0].width:.1f} px each (target aspect {RECOGNIZER_ASPECT}):")
 for i, part in enumerate(parts):
     print(f"  part {i}: x {part.x_min:7.1f} .. {part.x_max:7.1f}  (aspect {part.width/part.height:.2f})")
 

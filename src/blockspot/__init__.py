@@ -12,7 +12,6 @@ from .geo_order import OrderingMode, choose_mode, geometric_order
 from .geometry import (
     AlignedRect,
     GeometryError,
-    RecognizerSpec,
     crop_rect,
     rect_iou,
     snap_rotation,
@@ -61,7 +60,6 @@ from .pipeline import (
     EchoRecognizer,
     ScriptedRecognizer,
     Strategy,
-    assemble_line_text,
     build_block_prompt,
     order_block,
     plan_recognition,

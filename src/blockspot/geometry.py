@@ -44,20 +44,8 @@ class AlignedRect:
         return ((self.x_min + self.x_max) / 2, (self.y_min + self.y_max) / 2)
 
 
-@dataclass(frozen=True)
-class RecognizerSpec:
-    """Input geometry of the line recognizer (height x width in pixels)."""
-
-    input_height: int = 32
-    input_width: int = 128
-
-    def __post_init__(self) -> None:
-        if self.input_height <= 0 or self.input_width <= 0:
-            raise ValueError("recognizer input dimensions must be positive")
-
-    @property
-    def aspect(self) -> float:
-        return self.input_width / self.input_height
+# Width over height of the line recognizer's 32x128 input
+RECOGNIZER_ASPECT = 128 / 32
 
 
 def quad_bounds(vertices: Sequence[Point]) -> AlignedRect:
@@ -125,16 +113,14 @@ def crop_rect(vertices: Sequence[Point], theta_degrees: float) -> AlignedRect:
     return rect
 
 
-def split_for_recognizer(rect: AlignedRect, spec: RecognizerSpec | None = None) -> list[AlignedRect]:
+def split_for_recognizer(rect: AlignedRect) -> list[AlignedRect]:
     """Cut a crop into equal-width parts that keep the recognizer's aspect.
 
-    Returns ceil(width / (height * aspect)) parts tiling the rectangle
-    left to right; a single part when the crop is already at or below the
-    target aspect ratio.
+    Returns ceil(width / (height * RECOGNIZER_ASPECT)) parts tiling the
+    rectangle left to right; a single part when the crop is already at or
+    below the target aspect ratio.
     """
-    if spec is None:
-        spec = RecognizerSpec()
-    n = max(1, math.ceil(rect.width / (rect.height * spec.aspect) - 1e-12))
+    n = max(1, math.ceil(rect.width / (rect.height * RECOGNIZER_ASPECT) - 1e-12))
     if n == 1:
         return [rect]
     edges = [rect.x_min + rect.width * i / n for i in range(n)]

@@ -19,7 +19,7 @@ Schema (UTF-8 JSON)::
       ]
     }
 
-Line texts hold no control characters and no text a lone surrogate.
+Line texts hold no control characters, and no text holds a lone surrogate.
 Documents are immutable after parsing and safe to share between workers.
 """
 
@@ -31,8 +31,9 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .geometry import AlignedRect, quad_bounds
 
@@ -84,8 +85,11 @@ class Quad:
         object.__setattr__(self, "bounds", quad_bounds(pts))
 
     @classmethod
-    def from_points(cls, points: Iterable[Iterable[float]]) -> "Quad":
-        """Build a quad from any numeric points, converted to floats."""
+    def from_points(cls, points: Sequence[Sequence[float]]) -> "Quad":
+        """Build a quad from JSON points: every coordinate must be an int or a
+        float (not a bool or a string), and is converted to a float."""
+        if not _NUMBER.issuperset(map(type, chain.from_iterable(points))):
+            raise ValueError(f"vertex coordinates must be numbers, got {points!r}")
         return cls(tuple((float(x), float(y)) for x, y in points))
 
 
@@ -290,11 +294,6 @@ def _expect_int(data: dict, key: str) -> int:
     return v
 
 
-def _expect_numbers(values: list, what: str) -> None:
-    if not _NUMBER.issuperset(map(type, values)):
-        raise ValueError(f"{what} must be numbers, got {values!r}")
-
-
 def _expect_list(data: dict, key: str) -> list:
     v = data[key]
     if not isinstance(v, list):
@@ -307,16 +306,15 @@ def _parse_line(obj: Any, index: int, source: str) -> Line:
         raise DocumentError(f"lines[{index}] must be an object", source=source)
     try:
         line_id = _expect_int(obj, "id")
-        vertices = obj["vertices"]
         text = obj.get("text", "")
         confidence = obj.get("confidence")
         if not isinstance(text, str):
             raise ValueError(f"line {line_id}: text must be a string")
         if confidence is not None:
-            _expect_numbers([confidence], "confidence")
+            if type(confidence) not in _NUMBER:
+                raise ValueError(f"confidence must be a number, got {confidence!r}")
             confidence = float(confidence)
-        _expect_numbers([c for point in vertices for c in point], "vertex coordinates")
-        box = Quad.from_points(vertices)
+        box = Quad.from_points(obj["vertices"])
         return Line(id=line_id, box=box, text=text, recognizer_confidence=confidence)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DocumentError(f"lines[{index}]: {e}", source=source) from e

@@ -16,8 +16,8 @@ that backend's blocks are ordered in the plain loop too.
 
 The recognizer side is an interface: :func:`plan_recognition` describes the
 rotate/crop/split work per line, an external engine fills in part texts,
-and :func:`assemble_line_text` joins them.  Scripted and echo recognizers
-are provided for tests and offline runs.
+and :func:`recognize_document` joins them into line texts.  Scripted and
+echo recognizers are provided for tests and offline runs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .geo_order import geometric_order
 from .geometry import (
     AlignedRect,
     GeometryError,
-    RecognizerSpec,
     crop_rect,
     snap_rotation,
     split_for_recognizer,
@@ -130,16 +129,14 @@ class EchoRecognizer:
         return [text] + [""] * (len(request.parts) - 1)
 
 
-def plan_recognition(doc: Document, spec: RecognizerSpec | None = None) -> list[RecognizerRequest]:
+def plan_recognition(doc: Document) -> list[RecognizerRequest]:
     """One request per line, in document order."""
-    if spec is None:
-        spec = RecognizerSpec()
     requests = []
     for line in doc.lines:
         try:
             rotation = snap_rotation(line.box.vertices)
             crop = crop_rect(line.box.vertices, rotation)
-            parts = tuple(split_for_recognizer(crop, spec))
+            parts = tuple(split_for_recognizer(crop))
         except GeometryError as e:
             raise GeometryError(f"line {line.id}: {e}") from e
         requests.append(
@@ -148,32 +145,24 @@ def plan_recognition(doc: Document, spec: RecognizerSpec | None = None) -> list[
     return requests
 
 
-def assemble_line_text(part_texts: Sequence[str]) -> str:
-    """Parts are read left to right and concatenated without separators."""
-    return "".join(part_texts)
-
-
-def recognize_document(
-    doc: Document, recognizer: Recognizer, spec: RecognizerSpec | None = None
-) -> Document:
+def recognize_document(doc: Document, recognizer: Recognizer) -> Document:
     """Run the recognition plan and return a document with line texts set.
 
-    A line whose text is unchanged is kept as it is, and a document with no
+    A line's parts are read left to right and joined with no separator.  A
+    line whose text is unchanged is kept as it is, and a document with no
     changed line is returned itself.
     """
-    texts: dict[int, str] = {}
-    for request in plan_recognition(doc, spec):
+    lines = []
+    for line, request in zip(doc.lines, plan_recognition(doc)):
         parts = recognizer.recognize_parts(request)
         if len(parts) != len(request.parts):
             raise ValueError(
-                f"line {request.line_id}: recognizer returned {len(parts)} parts, "
+                f"line {line.id}: recognizer returned {len(parts)} parts, "
                 f"expected {len(request.parts)}"
             )
-        texts[request.line_id] = assemble_line_text(parts)
-    new_lines = tuple(
-        line if line.text == texts[line.id] else replace(line, text=texts[line.id])
-        for line in doc.lines
-    )
+        text = "".join(parts)
+        lines.append(line if line.text == text else replace(line, text=text))
+    new_lines = tuple(lines)
     return doc if new_lines == doc.lines else replace(doc, lines=new_lines)
 
 

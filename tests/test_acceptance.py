@@ -40,8 +40,8 @@ from blockspot.cli import main
 from blockspot.fuzzy import best_fuzzy_substring
 from blockspot.geo_order import geometric_order
 from blockspot.geometry import (
+    RECOGNIZER_ASPECT,
     AlignedRect,
-    RecognizerSpec,
     quad_bounds,
     rect_iou,
     split_for_recognizer,
@@ -221,17 +221,16 @@ def criterion_7_geometry_suite():
         ra, rb = int_rect(), int_rect()
         assert abs(rect_iou(ra, rb) - raster_iou(ra, rb)) <= 0.01
 
-    spec = RecognizerSpec()
     for _ in range(500):
         x0, y0 = rng.uniform(-50, 50), rng.uniform(-50, 50)
         rect = AlignedRect(x0, y0, x0 + rng.uniform(1, 2500), y0 + rng.uniform(1, 90))
-        parts = split_for_recognizer(rect, spec)
+        parts = split_for_recognizer(rect)
         assert parts[0].x_min == rect.x_min and parts[-1].x_max == rect.x_max
         assert abs(sum(p.width for p in parts) - rect.width) <= 1e-6
         for left, right in zip(parts, parts[1:]):
             assert abs(left.x_max - right.x_min) <= 1e-9
         for p in parts:
-            assert p.width / p.height <= spec.aspect + 1e-9
+            assert p.width / p.height <= RECOGNIZER_ASPECT + 1e-9
 
     for _ in range(500):
         quads = [

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from blockspot.geometry import (
     AlignedRect,
     GeometryError,
+    RECOGNIZER_ASPECT,
     Point,
-    RecognizerSpec,
     crop_rect,
     quad_bounds,
     rect_iou,
@@ -202,10 +202,9 @@ class TestSplit:
 
     def test_tiling_law(self):
         rng = random.Random(19)
-        spec = RecognizerSpec()
         for _ in range(300):
             rect = AlignedRect(0, 0, rng.uniform(1, 2000), rng.uniform(1, 80))
-            parts = split_for_recognizer(rect, spec)
+            parts = split_for_recognizer(rect)
             assert parts[0].x_min == rect.x_min
             assert parts[-1].x_max == rect.x_max
             for left, right in zip(parts, parts[1:]):
@@ -214,7 +213,7 @@ class TestSplit:
             # each part must not exceed the recognizer aspect (plus slack
             # for the ceil: only the n=1 case may be under-wide)
             for p in parts:
-                assert p.width / p.height <= spec.aspect + 1e-9
+                assert p.width / p.height <= RECOGNIZER_ASPECT + 1e-9
 
 
 class TestIoU:

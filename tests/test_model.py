@@ -492,6 +492,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             Quad(((0, 0), (1, 0), (1, 1)))
 
+    @pytest.mark.parametrize("bad, slot", [(True, 0), ("10", 3), (None, 6)], ids=["bool", "string", "none"])
+    def test_from_points_rejects_non_number_coordinates(self, bad, slot):
+        coords = [0, 0, 10, 0, 10, 5, 0, 5]
+        coords[slot] = bad
+        with pytest.raises(ValueError, match="vertex coordinates must be numbers"):
+            Quad.from_points(list(zip(coords[::2], coords[1::2])))
+
     def test_block_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError):
             Block(line_ids=(1, 1))

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockspot import pipeline
-from blockspot.geometry import GeometryError, RecognizerSpec
+from blockspot.geometry import GeometryError
 from blockspot.llm import (
     FinishReason,
     HttpBackend,
@@ -38,7 +38,6 @@ from blockspot.pipeline import (
     PipelineError,
     ScriptedRecognizer,
     Strategy,
-    assemble_line_text,
     block_key,
     build_block_prompt,
     order_block,
@@ -133,33 +132,40 @@ class TestPlanRecognition:
             plan_recognition(doc)
 
 
-class TestAssemble:
-    def test_concatenation_without_separator(self):
-        assert assemble_line_text(["HEL", "LO"]) == "HELLO"
-
-    def test_single_part(self):
-        assert assemble_line_text(["ONLY"]) == "ONLY"
-
-    def test_interior_space_preserved(self):
-        assert assemble_line_text(["A ", "B"]) == "A B"
-
-
 class TestRecognizeDocument:
     def test_parts_assembled_per_line(self):
         doc = Document(
             image_width=700,
-            image_height=100,
+            image_height=200,
             lines=(
                 make_line(0, 10, 30, 266, 62, ""),  # 256 wide -> 2 parts
                 make_line(1, 10, 70, 110, 95, ""),
+                make_line(2, 10, 110, 266, 142, ""),
             ),
         )
-        rec = ScriptedRecognizer({0: ["HEL", "LO"], 1: ["EXIT"]})
-        out = recognize_document(doc, rec, RecognizerSpec())
-        assert out.line_by_id(0).text == "HELLO"
-        assert out.line_by_id(1).text == "EXIT"
+        rec = ScriptedRecognizer({0: ["HEL", "LO"], 1: ["ONLY"], 2: ["A ", "B"]})
+        out = recognize_document(doc, rec)
+        # read left to right, joined with no separator; an interior space is kept
+        assert [line.text for line in out.lines] == ["HELLO", "ONLY", "A B"]
         # original is untouched
         assert doc.line_by_id(0).text == ""
+
+    def test_unchanged_lines_are_kept(self):
+        doc = Document(
+            image_width=700,
+            image_height=200,
+            lines=(
+                make_line(0, 10, 30, 110, 62, "EXIT"),
+                make_line(1, 10, 70, 110, 95, "EXTI"),
+                make_line(2, 10, 110, 110, 140, "WAY OUT"),
+            ),
+        )
+        rec = ScriptedRecognizer({0: ["EXIT"], 1: ["EXIT"], 2: ["WAY OUT"]})
+        out = recognize_document(doc, rec)
+        assert out is not doc
+        assert [line.text for line in out.lines] == ["EXIT", "EXIT", "WAY OUT"]
+        assert out.lines[0] is doc.lines[0] and out.lines[2] is doc.lines[2]
+        assert out.lines[1] is not doc.lines[1]
 
     def test_part_count_mismatch_rejected(self):
         doc = Document(
@@ -477,7 +483,8 @@ class TestPoolPolicy:
                 self.in_flight += 1
                 self.peak = max(self.peak, self.in_flight)
                 self.threads.add(threading.get_ident())
-            time.sleep(self.delay)  # a provider round trip
+            if self.delay > 0:  # sleep(0) would hand the GIL on and count as a wait
+                time.sleep(self.delay)  # a provider round trip
             with self.lock:
                 self.in_flight -= 1
             return LlmReply(text="reply")
