@@ -8,8 +8,7 @@ axis-aligned rectangles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Point = tuple[float, float]
 
@@ -18,18 +17,30 @@ class GeometryError(ValueError):
     """Degenerate geometry: zero-length edges, collapsed crops, empty input."""
 
 
-@dataclass(frozen=True)
-class AlignedRect:
-    """Axis-aligned rectangle in pixel coordinates."""
-
+class _Rect(NamedTuple):
     x_min: float
     y_min: float
     x_max: float
     y_max: float
 
-    def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+
+class AlignedRect(_Rect):
+    """Axis-aligned rectangle in pixel coordinates, with positive width and
+    height.
+
+    A rectangle is an immutable 4-tuple ``(x_min, y_min, x_max, y_max)``: it
+    unpacks, hashes and compares equal as one.  The constructor (and so
+    ``copy`` and ``pickle``) raises ``GeometryError`` for an empty or NaN
+    rectangle; the inherited ``_make`` and ``_replace`` skip that check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x_min: float, y_min: float, x_max: float, y_max: float) -> "AlignedRect":
+        self = tuple.__new__(cls, (x_min, y_min, x_max, y_max))
+        if not (x_min < x_max and y_min < y_max):
             raise GeometryError(f"empty rectangle: {self}")
+        return self
 
     @property
     def width(self) -> float:
@@ -106,8 +117,11 @@ def crop_rect(vertices: Sequence[Point], theta_degrees: float) -> AlignedRect:
     This is the crop window a recognizer would see once the image is
     rotated to axis-align the line.
     """
-    rotated = [rotate_point(p, theta_degrees) for p in vertices]
-    rect = quad_bounds(rotated)
+    t = math.radians(theta_degrees)
+    c, s = math.cos(t), math.sin(t)  # once per crop: rotate_point's floats
+    xs = [x * c - y * s for x, y in vertices]
+    ys = [x * s + y * c for x, y in vertices]
+    rect = AlignedRect(min(xs), min(ys), max(xs), max(ys))
     if rect.width < 1.0 - 1e-9 or rect.height < 1.0 - 1e-9:
         raise GeometryError(f"crop smaller than one pixel: {rect}")
     return rect

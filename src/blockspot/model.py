@@ -31,11 +31,10 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .geometry import AlignedRect, quad_bounds
+from .geometry import AlignedRect
 
 BOX_MARGIN_PX = 5.0
 # exact JSON value types: bool is an int subclass, and float() takes "10" too
@@ -69,39 +68,42 @@ class Quad:
         pts = self.vertices
         if len(pts) != 4:
             raise ValueError(f"quad needs 4 vertices, got {len(pts)}")
-        crosses = _corner_crosses(pts)
-        if sum(crosses) < 0:
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts
+        # Cross product of the edges meeting at each corner (at d, a, b, c);
+        # the four sum to 4x the signed area, positive counter-clockwise, and
+        # are not finite if any coordinate is.
+        kd = (dx - cx) * (ay - dy) - (dy - cy) * (ax - dx)
+        ka = (ax - dx) * (by - ay) - (ay - dy) * (bx - ax)
+        kb = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        kc = (cx - bx) * (dy - cy) - (cy - by) * (dx - cx)
+        if kd + ka + kb + kc < 0:
             # reversing the winding negates every cross exactly and permutes them
-            pts = (pts[0], pts[3], pts[2], pts[1])
-            crosses = [-crosses[2], -crosses[1], -crosses[0], -crosses[3]]
+            pts = ((ax, ay), (dx, dy), (cx, cy), (bx, by))
             object.__setattr__(self, "vertices", pts)
-        area4 = sum(crosses)
+            bx, by, dx, dy = dx, dy, bx, by
+            kd, ka, kb, kc = -kb, -ka, -kd, -kc
+        area4 = kd + ka + kb + kc
         if not math.isfinite(area4):
             raise ValueError(f"non-finite vertex in {pts}")
         if area4 <= 0:
             raise ValueError("quad has zero area (collinear, repeated or crossing vertices)")
-        if min(crosses) < -1e-9 * max(crosses):  # a corner turning the other way
+        if min(kd, ka, kb, kc) < -1e-9 * max(kd, ka, kb, kc):  # a corner turning the other way
             raise ValueError("quad is not convex")
-        object.__setattr__(self, "bounds", quad_bounds(pts))
+        bounds = AlignedRect(min(ax, bx, cx, dx), min(ay, by, cy, dy), max(ax, bx, cx, dx), max(ay, by, cy, dy))
+        object.__setattr__(self, "bounds", bounds)
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[float]]) -> "Quad":
-        """Build a quad from JSON points: every coordinate must be an int or a
-        float (not a bool or a string), and is converted to a float."""
-        if not _NUMBER.issuperset(map(type, chain.from_iterable(points))):
+        """Build a quad from four JSON points: every coordinate must be an int
+        or a float (not a bool or a string), and is converted to a float."""
+        if len(points) != 4:
+            raise ValueError(f"quad needs 4 vertices, got {len(points)}")
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = points
+        if not _NUMBER.issuperset(map(type, (ax, ay, bx, by, cx, cy, dx, dy))):
             raise ValueError(f"vertex coordinates must be numbers, got {points!r}")
-        return cls(tuple((float(x), float(y)) for x, y in points))
-
-
-def _corner_crosses(vertices: tuple[tuple[float, float], ...]) -> list[float]:
-    """Cross product of the edges meeting at each vertex; the four sum to 4x the
-    signed area (positive counter-clockwise), not finite if any coordinate is."""
-    (px, py), (qx, qy) = vertices[-2], vertices[-1]
-    crosses = []
-    for rx, ry in vertices:
-        crosses.append((qx - px) * (ry - qy) - (qy - py) * (rx - qx))
-        px, py, qx, qy = qx, qy, rx, ry
-    return crosses
+        return cls(
+            ((float(ax), float(ay)), (float(bx), float(by)), (float(cx), float(cy)), (float(dx), float(dy)))
+        )
 
 
 # No C0 control or DEL within a line; no lone surrogate (UTF-8 cannot encode one)
@@ -257,34 +259,24 @@ def load_document(path: str | Path, kind: DocumentKind | str = DocumentKind.PRED
 
 def serialize_document(doc: Document) -> bytes:
     """Deterministic compact UTF-8 JSON; parse(serialize(doc)) equals doc."""
-    data: dict[str, Any] = {
-        "image_width": doc.image_width,
-        "image_height": doc.image_height,
-        "lines": [
-            _strip_nones(
-                {
-                    "id": line.id,
-                    "vertices": [[x, y] for x, y in line.box.vertices],
-                    "text": line.text,
-                    "confidence": line.recognizer_confidence,
-                }
-            )
-            for line in doc.lines
-        ],
-        "blocks": [
-            _strip_nones({"line_ids": list(block.line_ids), "text": block.text})
-            for block in doc.blocks
-        ],
-    }
+    lines = []
+    for line in doc.lines:
+        obj = {"id": line.id, "vertices": [[x, y] for x, y in line.box.vertices], "text": line.text}
+        if line.recognizer_confidence is not None:
+            obj["confidence"] = line.recognizer_confidence
+        lines.append(obj)
+    blocks = []
+    for block in doc.blocks:
+        obj = {"line_ids": list(block.line_ids)}
+        if block.text is not None:
+            obj["text"] = block.text
+        blocks.append(obj)
+    data = {"image_width": doc.image_width, "image_height": doc.image_height, "lines": lines, "blocks": blocks}
     return json.dumps(data, ensure_ascii=False).encode("utf-8")
 
 
 def save_document(doc: Document, path: str | Path) -> None:
     Path(path).write_bytes(serialize_document(doc) + b"\n")
-
-
-def _strip_nones(obj: dict[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in obj.items() if v is not None}
 
 
 def _expect_int(data: dict, key: str) -> int:

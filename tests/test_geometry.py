@@ -8,7 +8,9 @@ count of integer rectangles on a pixel grid.
 from __future__ import annotations
 
 import ast
+import copy
 import math
+import pickle
 import random
 from typing import Sequence
 
@@ -183,6 +185,90 @@ class TestCropRect:
     def test_collinear_quad_raises(self):
         with pytest.raises(GeometryError):
             crop_rect(((0, 0), (10, 0), (20, 0), (30, 0)), 0.0)
+
+
+_CROP_COORD = st.one_of(st.integers(-(2**20), 2**20), st.floats(-1e6, 1e6), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def crop_quads(draw):
+    """Any four points, or a box of at most a few pixels (near the one-pixel
+    limit), at any offset; sometimes 1 to 6 points."""
+    x, y = draw(_CROP_COORD), draw(_CROP_COORD)
+    w, h = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+    small = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+    point = st.tuples(_CROP_COORD, _CROP_COORD)
+    return draw(st.one_of(
+        st.lists(point, min_size=4, max_size=4),
+        st.just(small),
+        st.lists(point, min_size=1, max_size=6),
+    ))
+
+
+def crop_outcome(crop):
+    """("ok", repr of the rectangle) or the error; repr tells -0.0 from 0.0."""
+    try:
+        return "ok", repr(crop())
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+class TestCropRectMatchesRotatePoint:
+    """One cos and sin per crop gives the floats of ``rotate_point`` per vertex."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(crop_quads(), st.one_of(st.floats(-360.0, 360.0), st.floats(), st.sampled_from([0.0, -0.0, 45.0, 90.0])))
+    def test_matches_rotated_bounds(self, vertices, theta):
+        def reference():
+            rect = quad_bounds([rotate_point(p, theta) for p in vertices])
+            if rect.width < 1.0 - 1e-9 or rect.height < 1.0 - 1e-9:
+                raise GeometryError(f"crop smaller than one pixel: {rect}")
+            return rect
+
+        assert crop_outcome(lambda: crop_rect(vertices, theta)) == crop_outcome(reference)
+
+    def test_sub_pixel_crop_raises(self):
+        with pytest.raises(GeometryError, match="crop smaller than one pixel"):
+            crop_rect(rect_quad(0, 0, 100, 0.5), 0.0)
+
+
+class TestAlignedRect:
+    """A rectangle is an immutable 4-tuple (x_min, y_min, x_max, y_max)."""
+
+    def test_is_a_tuple_of_its_fields(self):
+        r = AlignedRect(1, 2.5, 4, 8)
+        assert r == (1, 2.5, 4, 8) and tuple(r) == (1, 2.5, 4, 8)
+        x_min, y_min, x_max, y_max = r
+        assert (x_min, y_min, x_max, y_max) == (r.x_min, r.y_min, r.x_max, r.y_max)
+        assert AlignedRect(x_min=1, y_min=2.5, x_max=4, y_max=8) == r
+        assert (r.width, r.height, r.center) == (3, 5.5, (2.5, 5.25))
+
+    def test_fields_cannot_be_assigned(self):
+        r = AlignedRect(0, 0, 1, 1)
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 5)
+        with pytest.raises(AttributeError):
+            r.label = "x"
+        assert r == (0, 0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(5, 0, 5, 10), (0, 5, 10, 5), (3, 0, 1, 1), (math.nan, 0, 1, 1), (0, 0, 1, math.nan), (0, 0, math.inf, math.nan)],
+    )
+    def test_empty_or_nan_raises(self, bounds):
+        with pytest.raises(GeometryError, match="empty rectangle: AlignedRect"):
+            AlignedRect(*bounds)
+
+    def test_repr_names_the_fields(self):
+        assert repr(AlignedRect(0, 0.5, 10, 2)) == "AlignedRect(x_min=0, y_min=0.5, x_max=10, y_max=2)"
+
+    def test_pickle_copy_and_hash(self):
+        r = AlignedRect(-1.5, 0.0, 2.25, 3.0)
+        for again in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert type(again) is AlignedRect and again == r and hash(again) == hash(r)
+        assert hash(r) == hash((-1.5, 0.0, 2.25, 3.0))
+        assert {r: 1}[AlignedRect(-1.5, 0.0, 2.25, 3.0)] == 1
 
 
 class TestSplit:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from conftest import HOSTILE_DOCUMENTS
@@ -20,7 +22,6 @@ from blockspot.model import (
     DocumentKind,
     Line,
     Quad,
-    _corner_crosses,
     load_document,
     parse_document,
     serialize_document,
@@ -356,6 +357,46 @@ class TestQuadMatchesReference:
         assert quad_decision(points) == reference_quad(points) == ("non-finite", None)
 
 
+# The loop Quad, kept as the reference for the unrolled one: crosses from a
+# loop over the vertices, their ``sum``, a list permutation on a flip, and
+# ``quad_bounds``.
+
+
+def _corner_crosses(vertices) -> list[float]:
+    """Cross product of the edges meeting at each vertex; the four sum to 4x the
+    signed area (positive counter-clockwise), not finite if any coordinate is."""
+    (px, py), (qx, qy) = vertices[-2], vertices[-1]
+    crosses = []
+    for rx, ry in vertices:
+        crosses.append((qx - px) * (ry - qy) - (qy - py) * (rx - qx))
+        px, py, qx, qy = qx, qy, rx, ry
+    return crosses
+
+
+def loop_quad(pts):
+    """(vertices, bounds) of ``Quad(pts)`` as the loop decided, or its ValueError."""
+    if len(pts) != 4:
+        raise ValueError(f"quad needs 4 vertices, got {len(pts)}")
+    crosses = _corner_crosses(pts)
+    if sum(crosses) < 0:
+        pts = (pts[0], pts[3], pts[2], pts[1])
+        crosses = [-crosses[2], -crosses[1], -crosses[0], -crosses[3]]
+    area4 = sum(crosses)
+    if not math.isfinite(area4):
+        raise ValueError(f"non-finite vertex in {pts}")
+    if area4 <= 0:
+        raise ValueError("quad has zero area (collinear, repeated or crossing vertices)")
+    if min(crosses) < -1e-9 * max(crosses):
+        raise ValueError("quad is not convex")
+    return pts, quad_bounds(pts)
+
+
+def loop_from_points(points):
+    if not {int, float}.issuperset(map(type, chain.from_iterable(points))):
+        raise ValueError(f"vertex coordinates must be numbers, got {points!r}")
+    return loop_quad(tuple((float(x), float(y)) for x, y in points))
+
+
 def two_pass_quad(points):
     """``Quad.from_points`` as it was when the crosses were computed twice:
     once for the winding flip, once more on the vertices kept."""
@@ -376,10 +417,15 @@ def two_pass_quad(points):
 
 
 def outcome(build, points):
+    """("ok", repr of the result) or ("error", message); repr tells -0.0 from 0.0."""
     try:
-        return "ok", build(points)
+        return "ok", repr(build(points))
     except ValueError as e:
         return "error", str(e)
+
+
+def unrolled(quad: Quad):
+    return quad.vertices, quad.bounds
 
 
 def _with_bad_coordinate(points, slot, bad):
@@ -404,11 +450,14 @@ _ANY_QUAD = st.one_of(
 
 
 class TestQuadMatchesTwoPass:
-    """Crosses computed once, and permuted on a flip, decide as two passes did."""
+    """Crosses computed once, unrolled, and permuted on a flip, decide as two
+    passes did, and give the loop's vertices and bounds bit for bit."""
 
     @settings(max_examples=1500, deadline=None)
     @given(_ANY_QUAD)
     def test_from_points(self, points):
+        unrolled_outcome = outcome(lambda q: unrolled(Quad.from_points(q)), points)
+        assert unrolled_outcome == outcome(loop_from_points, points)
         assert outcome(lambda q: Quad.from_points(q).vertices, points) == outcome(two_pass_quad, points)
 
     @settings(max_examples=500, deadline=None)
@@ -416,7 +465,14 @@ class TestQuadMatchesTwoPass:
     def test_direct_construction(self, points):
         # Quad(...) follows the winding rule of from_points: clockwise input is reversed
         pts = tuple((float(x), float(y)) for x, y in points)
+        assert outcome(lambda q: unrolled(Quad(q)), pts) == outcome(loop_quad, pts)
         assert outcome(lambda q: Quad(q).vertices, pts) == outcome(two_pass_quad, pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_quads(_INT), st.integers(0, 7), st.sampled_from([True, False, "10", None, [1.0], 1j]))
+    def test_odd_typed_coordinate(self, points, slot, bad):
+        points = _with_bad_coordinate(points, slot, bad)
+        assert outcome(lambda q: unrolled(Quad.from_points(q)), points) == outcome(loop_from_points, points)
 
 
 class TestQuadBounds:
@@ -431,10 +487,233 @@ class TestQuadBounds:
         except ValueError:
             return
         assert quad.bounds == quad_bounds(pts) == quad_bounds(quad.vertices)
+        assert type(quad.bounds) is AlignedRect
+        assert repr(quad.bounds) == repr(loop_quad(pts)[1])
         twin = Quad(quad.vertices)
         object.__setattr__(twin, "bounds", AlignedRect(0, 0, 1, 1))
         assert twin == quad and hash(twin) == hash(quad)
         assert repr(twin) == repr(quad) == f"Quad(vertices={quad.vertices!r})"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), min_size=4, max_size=4), st.floats(1, 1e6), st.floats(1, 1e6), st.booleans())
+    def test_signed_zeros_kept(self, negative, w, h, clockwise):
+        # -0.0 == 0.0 with other bits, and min and max keep the first of equals
+        z = [-0.0 if neg else 0.0 for neg in negative]
+        pts = ((z[0], z[1]), (w, z[2]), (w, h), (z[3], h))
+        pts = pts[::-1] if clockwise else pts
+        assert outcome(lambda q: unrolled(Quad(q)), pts) == outcome(loop_quad, pts)
+
+
+# The parse path over the loop quad, kept as the reference: ``_parse_line``
+# with the loop quad, then ``validate_document`` over the line bounds.  It
+# returns a snapshot of what a Document holds, or raises.
+
+_BAD_TEXT = re.compile(r"[\x00-\x1f\x7f\ud800-\udfff]")
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _reference_int(obj, key):
+    v = obj[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{key!r} must be an integer, got {v!r}")
+    return v
+
+
+def reference_line(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("line must be an object")
+    line_id = _reference_int(obj, "id")
+    text = obj.get("text", "")
+    confidence = obj.get("confidence")
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
+    if confidence is not None:
+        if type(confidence) not in (int, float):
+            raise ValueError("confidence must be a number")
+        confidence = float(confidence)
+    vertices, bounds = loop_from_points(obj["vertices"])
+    if _BAD_TEXT.search(text):
+        raise ValueError("control characters or lone surrogates")
+    if confidence is not None and not 0.0 <= confidence <= 1.0:
+        raise ValueError("confidence outside [0, 1]")
+    return line_id, vertices, bounds, text, confidence
+
+
+def reference_block(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("block must be an object")
+    line_ids = obj["line_ids"]
+    if not isinstance(line_ids, list) or not {int}.issuperset(map(type, line_ids)):
+        raise ValueError("line_ids must be a list of integers")
+    text = obj.get("text")
+    if text is not None and (not isinstance(text, str) or re.search(r"[\ud800-\udfff]", text)):
+        raise ValueError("block text must be a string without lone surrogates")
+    if not line_ids or len(set(line_ids)) != len(line_ids):
+        raise ValueError("empty block or repeated ids")
+    return tuple(line_ids), text
+
+
+def reference_parse(raw: str):
+    data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError("top level must be a JSON object")
+    width, height = _reference_int(data, "image_width"), _reference_int(data, "image_height")
+    for key in ("lines", "blocks"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"{key!r} must be a list")
+    lines = tuple(reference_line(obj) for obj in data["lines"])
+    blocks = tuple(reference_block(obj) for obj in data["blocks"])
+    # validate_document
+    if width <= 0 or height <= 0:
+        raise ValueError("image dimensions must be positive")
+    seen_ids = set()
+    for line_id, _, rect, _, _ in lines:
+        if line_id in seen_ids:
+            raise ValueError(f"duplicate line id {line_id}")
+        seen_ids.add(line_id)
+        if (rect.x_min < -5.0 or rect.y_min < -5.0
+                or rect.x_max > width + 5.0 or rect.y_max > height + 5.0):
+            raise ValueError("box leaves the image")
+    claimed = set()
+    for line_ids, _ in blocks:
+        for lid in line_ids:
+            if lid not in seen_ids or lid in claimed:
+                raise ValueError(f"unknown or repeated line id {lid}")
+            claimed.add(lid)
+    return width, height, lines, blocks
+
+
+def snapshot(doc: Document):
+    lines = tuple(
+        (line.id, line.box.vertices, line.box.bounds, line.text, line.recognizer_confidence)
+        for line in doc.lines
+    )
+    return doc.image_width, doc.image_height, lines, tuple((b.line_ids, b.text) for b in doc.blocks)
+
+
+_ODD_VALUES = st.sampled_from([True, None, "10", 1.5, math.nan, math.inf, -math.inf, 10**400, [], {}])
+_COORDINATE = st.one_of(st.integers(-12, 130), st.floats(-12, 130), _ODD_VALUES)
+_TEXT = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["EX\ud800IT", "\udfff", "a\nb", "tab\t", "ok \U0001f600", 7, None]),
+)
+
+
+@st.composite
+def _bad_vertices(draw):
+    """Clockwise, concave, collinear, crossing or empty boxes, any four
+    points, 3 or 5 points, or not a list of points at all."""
+    x, y = draw(st.integers(-10, 100)), draw(st.integers(-10, 100))
+    w, h = draw(st.integers(0, 40)), draw(st.integers(0, 20))
+    box = [[x, y], [x + w, y], [x + w, y + h], [x, y + h]]
+    return draw(st.one_of(
+        st.just(box[::-1]),
+        st.just([box[0], box[2], box[1], box[3]]),
+        st.just([box[0], box[1], [x + w / 2, y + h / 2], box[3]]),
+        _quads(st.floats(-12, 130, allow_nan=False)),
+        _collinear(st.integers(-5, 60)),
+        st.lists(st.lists(_COORDINATE, min_size=2, max_size=2), min_size=3, max_size=5),
+        _COORDINATE,
+    ))
+
+
+_PAGE = 120
+
+
+@st.composite
+def documents(draw):
+    """A valid document on a 120x120 page, then at most one corruption: an
+    odd-typed, NaN or infinite value, a bad quad, a duplicate id, a box off
+    the page, a bad text, or a bad block."""
+    lines = []
+    for lid in draw(st.lists(st.integers(0, 50), max_size=6, unique=True)):
+        x, y = draw(st.integers(-5, 90) | st.floats(-5, 90)), draw(st.integers(-5, 100) | st.floats(-5, 100))
+        w, h = draw(st.integers(1, 30) | st.floats(1, 30)), draw(st.integers(1, 20) | st.floats(1, 20))
+        box = [[x, y], [x + w, y], [x + w, y + h], [x, y + h]]
+        text = draw(st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=4))
+        line = {"id": lid, "vertices": box[::-1] if draw(st.booleans()) else box, "text": text}
+        confidence = draw(st.none() | st.floats(0.0, 1.0))
+        if confidence is not None:
+            line["confidence"] = confidence
+        lines.append(line)
+    ids = draw(st.permutations([line["id"] for line in lines]))[: draw(st.integers(0, len(lines)))]
+    blocks = []
+    while ids:
+        size = draw(st.integers(1, 3))
+        block = {"line_ids": ids[:size]}
+        if draw(st.booleans()):
+            block["text"] = draw(st.text(max_size=6))
+        blocks.append(block)
+        ids = ids[size:]
+    data = {"image_width": _PAGE, "image_height": _PAGE, "lines": lines, "blocks": blocks}
+
+    corruption = draw(st.sampled_from(
+        [None, "coordinate", "vertices", "id", "text", "confidence", "off page", "block", "dims", "key"]
+    ))
+    line = lines[draw(st.integers(0, len(lines) - 1))] if lines else {}
+    if corruption == "coordinate" and line:
+        line["vertices"][draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(_COORDINATE)
+    elif corruption == "vertices" and line:
+        line["vertices"] = draw(_bad_vertices())
+    elif corruption == "id" and line:
+        line["id"] = draw(st.sampled_from([other["id"] for other in lines]) | _ODD_VALUES)
+    elif corruption == "text" and line:
+        line["text"] = draw(_TEXT)
+    elif corruption == "confidence" and line:
+        line["confidence"] = draw(st.floats(-0.5, 1.5) | _ODD_VALUES)
+    elif corruption == "off page" and line:
+        dx, dy = draw(st.sampled_from([(_PAGE, 0), (0, _PAGE), (-20, 0), (0, -20), (3, 3)]))
+        line["vertices"] = [[x + dx, y + dy] for x, y in line["vertices"]]
+    elif corruption == "block":
+        blocks.append(draw(st.fixed_dictionaries(
+            {"line_ids": st.lists(st.integers(0, 50), max_size=3) | _ODD_VALUES},
+            optional={"text": _TEXT},
+        )))
+    elif corruption == "dims":
+        data[draw(st.sampled_from(["image_width", "image_height"]))] = draw(st.integers(-1, 2) | _ODD_VALUES)
+    elif corruption == "key":
+        target = draw(st.sampled_from(["doc", "line"])) if line else "doc"
+        obj = data if target == "doc" else line
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    return json.dumps(data)
+
+
+class TestParseMatchesReference:
+    """``parse_document`` and the reference parse path agree on every document:
+    the same lines, vertices and bounds bit for bit, or both reject it."""
+
+    @staticmethod
+    def _both(raw):
+        try:
+            expected = ("ok", repr(reference_parse(raw)))
+        except _PARSE_ERRORS:
+            expected = ("rejected", None)
+        try:
+            doc = parse_document(raw)
+        except DocumentError:
+            return ("rejected", None), expected
+        assert all(type(line.box.bounds) is AlignedRect for line in doc.lines)
+        again = parse_document(serialize_document(doc))
+        assert again == doc and repr(snapshot(again)) == repr(snapshot(doc))
+        return ("ok", repr(snapshot(doc))), expected
+
+    @settings(max_examples=1500, deadline=None)
+    @given(documents())
+    def test_same_document_or_both_reject(self, raw):
+        got, expected = self._both(raw)
+        assert got == expected
+
+    def test_corpus_reaches_both_outcomes(self):
+        # the strategies above are not vacuous: some documents parse, some do not
+        outcomes = set()
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(documents())
+        def collect(raw):
+            outcomes.add(self._both(raw)[0][0])
+
+        collect()
+        assert outcomes == {"ok", "rejected"}
 
 
 class TestText:
