@@ -13,8 +13,10 @@ and ``geometric-only`` (no LLM; every block uses the position order).
 Settings merge as flags > environment > config file > defaults.  The only
 environment setting is the API key (``BLOCKSPOT_API_KEY``); ``--config``
 (``order`` and ``eval`` only) names a JSON file whose keys mirror the flag
-names and whose values must have the setting's type.  Every report embeds
-the effective configuration so runs can be reproduced.
+names and whose values must have the setting's type.  The LLM settings,
+their defaults and their range checks are :class:`LlmConfig`'s; both
+commands build one, so both reject the same file.  Every report embeds the
+effective configuration so runs can be reproduced.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an output
 path that cannot be written, and ``order --outcomes`` naming the ``--out``
@@ -31,14 +33,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
 from .evaluation import evaluate, render_table, report_to_json
 from .fuzzy import best_fuzzy_substring
 from .llm import (
-    DEFAULT_ENDPOINT,
     HttpBackend,
     LlmBackend,
     LlmConfig,
@@ -77,32 +78,35 @@ def _check_writable(path: Path) -> None:
         raise InputError(f"cannot write output {path}: no directory {path.parent}")
 
 
+# The LlmConfig fields that a flag or a config key may set, in echo order.
+_LLM_SETTINGS = (
+    "model", "temperature", "max_context_tokens", "max_output_tokens",
+    "request_timeout", "max_retries", "endpoint_url",
+)
+
+
 @dataclass
 class Settings:
     """Effective run settings after flag/env/file merging."""
 
     backend: str = "geometric-only"
-    model: str = "gpt-3.5-turbo"
-    temperature: float = 0.0
-    max_context_tokens: int = 4096
-    max_output_tokens: int = 512
-    request_timeout: float = 30.0
-    max_retries: int = 3
-    endpoint_url: str = DEFAULT_ENDPOINT
     min_iou: float = 0.0
+    llm: LlmConfig = field(default_factory=LlmConfig)
 
     def echo(self) -> dict:
         """Reproducibility record; never includes the API key."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        llm = {key: getattr(self.llm, key) for key in _LLM_SETTINGS}
+        return {"backend": self.backend, **llm, "min_iou": self.min_iou}
 
 
-# JSON value types a config file may give for each Settings field type;
-# bool is excluded separately because it is an int subclass.
-_CONFIG_TYPES = {str: (str,), int: (int,), float: (int, float)}
+# Exact JSON value types a config file may give for each setting's type.
+_CONFIG_TYPES = {str: {str}, int: {int}, float: {int, float}}
 
 
 def _merge_settings(args: argparse.Namespace) -> Settings:
-    settings = Settings()
+    hints = {**get_type_hints(Settings), **get_type_hints(LlmConfig)}
+    types = {key: hints[key] for key in ("backend", "min_iou", *_LLM_SETTINGS)}
+    values = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -113,46 +117,39 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
             raise BackendConfigError(f"config file is not valid JSON: {e}") from e
         if not isinstance(data, dict):
             raise BackendConfigError("config file must hold a JSON object")
-        types = get_type_hints(Settings)
         for key, value in data.items():
             if key not in types:
                 raise BackendConfigError(f"unknown config key {key!r}")
             expected = types[key]
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[expected]):
+            try:
+                if type(value) not in _CONFIG_TYPES[expected]:
+                    raise TypeError
+                values[key] = expected(value)  # float() overflows on a huge int
+            except (TypeError, OverflowError):
                 raise BackendConfigError(
                     f"config key {key!r} must be {expected.__name__}, got {json.dumps(value)}"
-                )
-            setattr(settings, key, expected(value))
-    for f in fields(Settings):
-        flag_value = getattr(args, f.name, None)
+                ) from None
+    for key in types:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
-            setattr(settings, f.name, flag_value)
+            values[key] = flag_value
+    llm = {key: values.pop(key) for key in _LLM_SETTINGS if key in values}
+    settings = Settings(**values)
     if not math.isfinite(settings.min_iou):
         raise BackendConfigError(f"min_iou must be finite, got {settings.min_iou}")
+    try:
+        settings.llm = LlmConfig(**llm)  # api_key defaults from BLOCKSPOT_API_KEY
+    except ValueError as e:
+        raise BackendConfigError(str(e)) from e
     return settings
 
 
-def _llm_config(settings: Settings) -> LlmConfig:
-    try:
-        return LlmConfig(  # api_key defaults from BLOCKSPOT_API_KEY
-            model_name=settings.model,
-            temperature=settings.temperature,
-            max_context_tokens=settings.max_context_tokens,
-            max_output_tokens=settings.max_output_tokens,
-            request_timeout=settings.request_timeout,
-            max_retries=settings.max_retries,
-            endpoint_url=settings.endpoint_url,
-        )
-    except ValueError as e:
-        raise BackendConfigError(str(e)) from e
-
-
-def _make_backend(settings: Settings, config: LlmConfig) -> LlmBackend | None:
+def _make_backend(settings: Settings) -> LlmBackend | None:
     kind, _, arg = settings.backend.partition(":")
     if kind == "geometric-only":
         return None
     if kind == "http":
-        if not config.api_key:
+        if not settings.llm.api_key:
             raise BackendConfigError(
                 "http backend needs an API key; set BLOCKSPOT_API_KEY"
             )
@@ -178,8 +175,7 @@ def _make_backend(settings: Settings, config: LlmConfig) -> LlmBackend | None:
 
 def cmd_order(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    config = _llm_config(settings)
-    backend = _make_backend(settings, config)
+    backend = _make_backend(settings)
     doc = load_document(args.input, DocumentKind.PREDICTION)
     out_path = Path(args.out)
     _check_writable(out_path)  # before with_suffix, which fails on "." and "/"
@@ -190,7 +186,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     if os.path.realpath(outcomes_path) == os.path.realpath(out_path):
         raise InputError(f"--outcomes {outcomes_path} is the --out file {out_path}")
 
-    out_doc, outcomes = run(doc, backend, config)
+    out_doc, outcomes = run(doc, backend, settings.llm)
 
     payload = {
         "config": settings.echo(),
@@ -225,8 +221,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         report = evaluate(pred, gt, min_iou=settings.min_iou)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(str(e)) from e
     if args.out:
         _write(Path(args.out), (report_to_json(report) + "\n").encode())
     print(render_table(report))
@@ -267,12 +262,10 @@ def cmd_fuzzy(args: argparse.Namespace) -> int:
 def cmd_prompt(args: argparse.Namespace) -> int:
     doc = load_document(args.input, DocumentKind.PREDICTION)
     if not 0 <= args.block_index < len(doc.blocks):
-        print(
-            f"error: block index {args.block_index} out of range "
-            f"(document has {len(doc.blocks)} blocks)",
-            file=sys.stderr,
+        raise InputError(
+            f"block index {args.block_index} out of range "
+            f"(document has {len(doc.blocks)} blocks)"
         )
-        return EXIT_INPUT
     prompt = build_block_prompt(doc, doc.blocks[args.block_index])
     sys.stdout.write(f"[system]\n{prompt.system}\n[user]\n{prompt.user}\n")
     return EXIT_OK

@@ -73,7 +73,7 @@ class FinishReason(enum.Enum):
 class LlmConfig:
     """Connection and sampling settings for one pipeline run."""
 
-    model_name: str = "gpt-3.5-turbo"
+    model: str = "gpt-3.5-turbo"
     temperature: float = 0.0
     max_context_tokens: int = 4096
     max_output_tokens: int = 512
@@ -174,7 +174,7 @@ class HttpBackend:
         if not config.api_key:
             raise LlmAuthError(f"no API key; set {API_KEY_ENV} or config.api_key")
         payload = {
-            "model": config.model_name,
+            "model": config.model,
             "messages": [
                 {"role": "system", "content": prompt.system},
                 {"role": "user", "content": prompt.user},

@@ -261,13 +261,13 @@ def serialize_document(doc: Document) -> bytes:
     """Deterministic compact UTF-8 JSON; parse(serialize(doc)) equals doc."""
     lines = []
     for line in doc.lines:
-        obj = {"id": line.id, "vertices": [[x, y] for x, y in line.box.vertices], "text": line.text}
+        obj = {"id": line.id, "vertices": line.box.vertices, "text": line.text}
         if line.recognizer_confidence is not None:
             obj["confidence"] = line.recognizer_confidence
         lines.append(obj)
     blocks = []
     for block in doc.blocks:
-        obj = {"line_ids": list(block.line_ids)}
+        obj = {"line_ids": block.line_ids}
         if block.text is not None:
             obj["text"] = block.text
         blocks.append(obj)

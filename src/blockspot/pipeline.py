@@ -210,47 +210,36 @@ def order_block(
         )
 
     texts, bounds = _geometric_entries(doc, block)
-    fallback_text = " ".join(texts)
-    expected = len(fallback_text)
-
-    def fallback(
-        strategy: Strategy, llm_len: int | None = None, wait_s: float | None = None
-    ) -> OrderingOutcome:
-        return OrderingOutcome(
-            block_ref=block_index,
-            strategy=strategy,
-            block_text=fallback_text,
-            expected_len=expected,
-            llm_len=llm_len,
-            wait_s=wait_s,
-        )
-
+    block_text = " ".join(texts)
+    expected = len(block_text)
+    llm_len = wait_s = None
     if backend is None:
-        return fallback(Strategy.GEOMETRIC_ONLY)
-
-    prompt = build_prompt(texts, bounds)
-    if not fits_context(prompt, config):
-        return fallback(Strategy.GEOMETRIC_FALLBACK_CONTEXT)
-
-    wall, cpu = time.perf_counter(), time.thread_time()
-    try:
-        reply = complete(backend, prompt, config, key=block_key(block_index))
-    except LlmRefusedError:
-        raise
-    except LlmError:
-        reply = None
-    wait_s = time.perf_counter() - wall - (time.thread_time() - cpu)
-
-    if reply is None:
-        return fallback(Strategy.GEOMETRIC_FALLBACK_ERROR, wait_s=wait_s)
-    if not length_guard(reply.text, expected):
-        return fallback(Strategy.GEOMETRIC_FALLBACK_LENGTH, len(reply.text), wait_s)
+        strategy = Strategy.GEOMETRIC_ONLY
+    elif not fits_context(prompt := build_prompt(texts, bounds), config):
+        strategy = Strategy.GEOMETRIC_FALLBACK_CONTEXT
+    else:
+        wall, cpu = time.perf_counter(), time.thread_time()
+        try:
+            reply = complete(backend, prompt, config, key=block_key(block_index))
+        except LlmRefusedError:
+            raise
+        except LlmError:
+            reply = None
+        wait_s = time.perf_counter() - wall - (time.thread_time() - cpu)
+        if reply is None:
+            strategy = Strategy.GEOMETRIC_FALLBACK_ERROR
+        else:
+            llm_len = len(reply.text)
+            if length_guard(reply.text, expected):
+                strategy, block_text = Strategy.LLM, reply.text
+            else:
+                strategy = Strategy.GEOMETRIC_FALLBACK_LENGTH
     return OrderingOutcome(
         block_ref=block_index,
-        strategy=Strategy.LLM,
-        block_text=reply.text,
+        strategy=strategy,
+        block_text=block_text,
         expected_len=expected,
-        llm_len=len(reply.text),
+        llm_len=llm_len,
         wait_s=wait_s,
     )
 

@@ -267,6 +267,15 @@ class TestEval:
         bad.write_text("{broken")
         assert main(["eval", str(pred_path), str(bad)]) == 2
 
+    def test_untexted_prediction_exits_2(self, tmp_path, sign_fixture, capsys):
+        doc_path, _ = sign_fixture  # its one block has no text
+        gt_path = tmp_path / "gt.json"
+        save_document(sign_gt(), gt_path)
+        assert main(["eval", str(doc_path), str(gt_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: prediction block 0 has no text\n"
+
     def test_min_iou_flag_respected(self, tmp_path, capsys):
         gt_path = tmp_path / "gt.json"
         save_document(synthetic_gt(3), gt_path)
@@ -488,6 +497,8 @@ class TestConfigPrecedence:
             ("order", {"temperature": [0]}),
             ("eval", {"min_iou": "0.5"}),
             ("eval", {"min_iou": False}),
+            ("eval", {"min_iou": 10**400}),
+            ("order", {"request_timeout": 10**400}),
         ],
     )
     def test_mistyped_config_value_exits_3(self, tmp_path, sign_fixture, capsys, command, setting):
@@ -498,6 +509,17 @@ class TestConfigPrecedence:
         args += ["--out", str(tmp_path / "o.json")] if command == "order" else [str(doc_path)]
         assert main([command, *args]) == 3
         assert f"config key {next(iter(setting))!r} must be" in capsys.readouterr().err
+
+    def test_llm_setting_checked_by_order_and_eval(self, tmp_path, sign_fixture, capsys):
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"max_output_tokens": -1}))
+        order = ["order", str(doc_path), "--config", str(config), "--out", str(tmp_path / "o.json")]
+        assert main(order) == 3
+        assert main(["eval", str(doc_path), str(doc_path), "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error: need max_context_tokens > max_output_tokens > 0\n") == 2
+        assert list(tmp_path.glob("o.*")) == []
 
     def test_int_config_value_accepted_for_float(self, tmp_path, sign_fixture):
         doc_path, _ = sign_fixture
@@ -534,6 +556,29 @@ class TestConfigPrecedence:
         echoed = json.loads(out.with_suffix(".outcomes.json").read_text())["config"]
         assert echoed["endpoint_url"] == DEFAULT_ENDPOINT
 
+    def test_default_echo_is_every_setting_and_reads_back(self, tmp_path, sign_fixture):
+        doc_path, _ = sign_fixture
+        out = tmp_path / "o.json"
+        assert main(["order", str(doc_path), "--out", str(out)]) == 0
+        echoed = json.loads(out.with_suffix(".outcomes.json").read_text())["config"]
+        assert list(echoed.items()) == [
+            ("backend", "geometric-only"),
+            ("model", "gpt-3.5-turbo"),
+            ("temperature", 0.0),
+            ("max_context_tokens", 4096),
+            ("max_output_tokens", 512),
+            ("request_timeout", 30.0),
+            ("max_retries", 3),
+            ("endpoint_url", DEFAULT_ENDPOINT),
+            ("min_iou", 0.0),
+        ]
+        # every echoed key is settable, and every settable key is echoed
+        config = tmp_path / "echo.json"
+        config.write_text(json.dumps(echoed))
+        again = tmp_path / "again.json"
+        assert main(["order", str(doc_path), "--config", str(config), "--out", str(again)]) == 0
+        assert json.loads(again.with_suffix(".outcomes.json").read_text())["config"] == echoed
+
 
 # Config files for the argv fuzz: wrong types, out-of-range and non-finite
 # values, a non-object, broken JSON, and one good file.
@@ -546,6 +591,7 @@ FUZZ_CONFIGS = {
     "huge-iou": '{"min_iou": 1e308}',
     "negative-retries": '{"max_retries": -5}',
     "huge-int": '{"max_context_tokens": 100000000000000000000000000000}',
+    "huge-int-float": '{"min_iou": 1' + "0" * 400 + "}",
     "negative-output": '{"max_output_tokens": -1}',
     "zero-timeout": '{"request_timeout": 0}',
     "int-backend": '{"backend": 5}',

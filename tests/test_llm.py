@@ -261,7 +261,7 @@ class TestHttpBackend:
 
     def test_success_and_payload_shape(self, stub_server):
         StubHandler.script = [(200, ok_reply("the answer"))]
-        cfg = config(endpoint_url=stub_server, model_name="test-model", temperature=0.0)
+        cfg = config(endpoint_url=stub_server, model="test-model", temperature=0.0)
         reply = complete(HttpBackend(), PROMPT, cfg, key="k")
         assert reply.text == "the answer"
         seen = StubHandler.requests_seen[0]

@@ -193,6 +193,20 @@ class TestRecognizeDocument:
             recognize_document(doc, ScriptedRecognizer({0: ["EX\x07IT"]}))
 
 
+# One order_block case per strategy on the two-line sign, as block 2:
+# line ids, scripted replies (None: no backend), config overrides, and the
+# expected strategy, block text, expected_len and llm_len.
+OUTCOME_CASES = [
+    ((0, 1), {"block-2": "20 REASONS TO LOVE CYCLING"}, {}, Strategy.LLM, "20 REASONS TO LOVE CYCLING", 26, 26),
+    ((0, 1), {}, {"max_context_tokens": 50, "max_output_tokens": 10},
+     Strategy.GEOMETRIC_FALLBACK_CONTEXT, "TO LOVE CYCLING 20 REASONS", 26, None),
+    ((0, 1), {"block-2": "20 REASONS T"}, {}, Strategy.GEOMETRIC_FALLBACK_LENGTH, "TO LOVE CYCLING 20 REASONS", 26, 12),
+    ((0, 1), {}, {}, Strategy.GEOMETRIC_FALLBACK_ERROR, "TO LOVE CYCLING 20 REASONS", 26, None),
+    ((1,), {}, {}, Strategy.SINGLE_LINE, "TO LOVE CYCLING", 15, None),
+    ((0, 1), None, {}, Strategy.GEOMETRIC_ONLY, "TO LOVE CYCLING 20 REASONS", 26, None),
+]
+
+
 class TestOrderBlock:
     def test_llm_strategy_with_scripted_backend(self, figure_doc):
         backend = ScriptedBackend({"block-0": "20 REASONS TO LOVE CYCLING"})
@@ -263,6 +277,23 @@ class TestOrderBlock:
         outcome = order_block(figure_doc, figure_doc.blocks[0], None, config(), 0)
         assert outcome.strategy is Strategy.GEOMETRIC_ONLY
         assert outcome.block_text == "TO LOVE CYCLING 20 REASONS"
+
+    @pytest.mark.parametrize(
+        ("block", "backend", "overrides", "strategy", "text", "expected_len", "llm_len"),
+        OUTCOME_CASES,
+        ids=[case[3].value for case in OUTCOME_CASES],
+    )
+    def test_every_outcome_field_per_strategy(
+        self, figure_doc, block, backend, overrides, strategy, text, expected_len, llm_len
+    ):
+        # an empty script makes the one request fail: the error fallback
+        scripted = None if backend is None else ScriptedBackend(backend)
+        outcome = order_block(figure_doc, Block(line_ids=block), scripted, config(**overrides), 2)
+        assert outcome == OrderingOutcome(
+            block_ref=2, strategy=strategy, block_text=text, expected_len=expected_len, llm_len=llm_len
+        )
+        unsent = {Strategy.SINGLE_LINE, Strategy.GEOMETRIC_ONLY, Strategy.GEOMETRIC_FALLBACK_CONTEXT}
+        assert (outcome.wait_s is None) == (strategy in unsent)
 
     def test_llm_outcome_requires_reply_length(self):
         with pytest.raises(ValueError):
