@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -135,8 +134,8 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
             values[key] = flag_value
     llm = {key: values.pop(key) for key in _LLM_SETTINGS if key in values}
     settings = Settings(**values)
-    if not math.isfinite(settings.min_iou):
-        raise BackendConfigError(f"min_iou must be finite, got {settings.min_iou}")
+    if not 0.0 <= settings.min_iou < 1.0:  # a pair needs IoU > min_iou; NaN fails too
+        raise BackendConfigError(f"min_iou must be in [0, 1), got {settings.min_iou}")
     try:
         settings.llm = LlmConfig(**llm)  # api_key defaults from BLOCKSPOT_API_KEY
     except ValueError as e:

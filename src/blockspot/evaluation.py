@@ -57,8 +57,8 @@ class EvalReport:
 def block_hull(doc: Document, block: Block) -> AlignedRect:
     """Axis-aligned rectangle covering the bounds of every line of the block."""
     rects = [doc.line_by_id(lid).box.bounds for lid in block.line_ids]
-    return AlignedRect(min(r.x_min for r in rects), min(r.y_min for r in rects),
-                       max(r.x_max for r in rects), max(r.y_max for r in rects))
+    x_mins, y_mins, x_maxs, y_maxs = zip(*rects)
+    return AlignedRect(min(x_mins), min(y_mins), max(x_maxs), max(y_maxs))
 
 
 def match_blocks(

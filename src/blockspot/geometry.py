@@ -8,6 +8,7 @@ axis-aligned rectangles.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Sequence
 
 Point = tuple[float, float]
@@ -75,25 +76,24 @@ def snap_rotation(vertices: Sequence[Point]) -> float:
     are rotated back to the x-axis, steeper ones to the y-axis, so the
     returned angle always satisfies abs(angle) <= 45.
     """
-    n = len(vertices)
+    pts = tuple(vertices)
     best_angle: float | None = None
     best_len = 0.0
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
         dx, dy = x1 - x0, y1 - y0
         length = math.hypot(dx, dy)
         if length < 1e-9:
+            continue
+        # the angle matters only to an edge that becomes or ties the best
+        better = length > best_len + 1e-9 or best_angle is None
+        if not (better or abs(length - best_len) <= 1e-9):
             continue
         angle = math.degrees(math.atan2(dy, dx))
         if angle <= -90.0:
             angle += 180.0
         elif angle > 90.0:
             angle -= 180.0
-        better = length > best_len + 1e-9
-        if not better and abs(length - best_len) <= 1e-9 and best_angle is not None:
-            better = (abs(angle), -angle) < (abs(best_angle), -best_angle)
-        if better or best_angle is None:
+        if better or (abs(angle), -angle) < (abs(best_angle), -best_angle):
             best_len = length
             best_angle = angle
     if best_angle is None:
@@ -121,7 +121,11 @@ def crop_rect(vertices: Sequence[Point], theta_degrees: float) -> AlignedRect:
     c, s = math.cos(t), math.sin(t)  # once per crop: rotate_point's floats
     xs = [x * c - y * s for x, y in vertices]
     ys = [x * s + y * c for x, y in vertices]
-    rect = AlignedRect(min(xs), min(ys), max(xs), max(ys))
+    return checked_crop(AlignedRect(min(xs), min(ys), max(xs), max(ys)))
+
+
+def checked_crop(rect: AlignedRect) -> AlignedRect:
+    """``rect`` itself, unless it is smaller than one pixel either way."""
     if rect.width < 1.0 - 1e-9 or rect.height < 1.0 - 1e-9:
         raise GeometryError(f"crop smaller than one pixel: {rect}")
     return rect
@@ -134,14 +138,21 @@ def split_for_recognizer(rect: AlignedRect) -> list[AlignedRect]:
     rectangle left to right; a single part when the crop is already at or
     below the target aspect ratio.
     """
-    n = max(1, math.ceil(rect.width / (rect.height * RECOGNIZER_ASPECT) - 1e-12))
+    x_min, y_min, x_max, y_max = rect
+    width = x_max - x_min
+    n = max(1, math.ceil(width / ((y_max - y_min) * RECOGNIZER_ASPECT) - 1e-12))
     if n == 1:
         return [rect]
-    edges = [rect.x_min + rect.width * i / n for i in range(n)]
-    edges.append(rect.x_max)
-    return [
-        AlignedRect(edges[i], rect.y_min, edges[i + 1], rect.y_max) for i in range(n)
-    ]
+    starts = [x_min + width * i / n for i in range(n)]
+    ends = starts[1:] + [x_max]
+    # tuple.__new__ skips the constructor's check.  n > 1 needs a width and
+    # height of one sign, so the edges alone tell whether a part is empty,
+    # and then the constructor names the first one.
+    parts = [tuple.__new__(AlignedRect, (a, y_min, b, y_max)) for a, b in zip(starts, ends)]
+    if not all(map(operator.lt, starts, ends)):
+        for part in parts:
+            AlignedRect(*part)
+    return parts
 
 
 def rect_iou(a: AlignedRect, b: AlignedRect) -> float:

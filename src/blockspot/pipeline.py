@@ -15,9 +15,12 @@ sends do not wait (an offline replay or a scripted backend); from then on
 that backend's blocks are ordered in the plain loop too.
 
 The recognizer side is an interface: :func:`plan_recognition` describes the
-rotate/crop/split work per line, an external engine fills in part texts,
-and :func:`recognize_document` joins them into line texts.  Scripted and
-echo recognizers are provided for tests and offline runs.
+rotate/crop/split work per line as one tuple-backed
+:class:`RecognizerRequest`, an external engine fills in part texts, and
+:func:`recognize_document` joins them into line texts.  The plan is cheap
+enough to run on every order path: a line that snaps to rotation 0 takes
+its box's bounds as the crop, the very floats the rotation would give.
+Scripted and echo recognizers are provided for tests and offline runs.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from .geo_order import geometric_order
 from .geometry import (
     AlignedRect,
     GeometryError,
+    checked_crop,
     crop_rect,
     snap_rotation,
     split_for_recognizer,
@@ -88,9 +92,12 @@ class OrderingOutcome:
             raise ValueError("llm outcomes must record the reply length")
 
 
-@dataclass(frozen=True)
-class RecognizerRequest:
-    """Preprocessing plan for one line: rotate, crop, split."""
+class RecognizerRequest(NamedTuple):
+    """Preprocessing plan for one line: rotate, crop, split.
+
+    An immutable 4-tuple ``(line_id, rotation, crop, parts)``: it unpacks,
+    hashes and compares equal as one.
+    """
 
     line_id: int
     rotation: float
@@ -133,15 +140,19 @@ def plan_recognition(doc: Document) -> list[RecognizerRequest]:
     """One request per line, in document order."""
     requests = []
     for line in doc.lines:
+        box = line.box
         try:
-            rotation = snap_rotation(line.box.vertices)
-            crop = crop_rect(line.box.vertices, rotation)
+            rotation = snap_rotation(box.vertices)
+            # An upright crop is the line's bounds; crop_rect differs from
+            # them only in the sign of a zero, so zeros take crop_rect.
+            if rotation == 0.0 and 0.0 not in box.bounds:
+                crop = checked_crop(box.bounds)
+            else:
+                crop = crop_rect(box.vertices, rotation)
             parts = tuple(split_for_recognizer(crop))
         except GeometryError as e:
             raise GeometryError(f"line {line.id}: {e}") from e
-        requests.append(
-            RecognizerRequest(line_id=line.id, rotation=rotation, crop=crop, parts=parts)
-        )
+        requests.append(RecognizerRequest(line.id, rotation, crop, parts))
     return requests
 
 

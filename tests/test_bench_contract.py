@@ -14,6 +14,9 @@ import importlib
 from pathlib import Path
 
 import pytest
+from conftest import sign_doc
+
+from blockspot import pipeline
 
 BENCH = Path(__file__).parent.parent / "bench"
 SOURCES = sorted(p for p in BENCH.glob("*.py") if not p.name.startswith("test_"))
@@ -115,3 +118,19 @@ def test_the_tracer_patches_are_seen():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_blockspot_name_the_bench_uses_exists(path):
     assert missing(path.read_text("utf-8")) == []
+
+
+def test_recognize_document_plans_through_the_patchable_name(monkeypatch):
+    # the tracer's geometry.plan span and plan_lines count wrap this global
+    calls = []
+    plan = pipeline.plan_recognition
+
+    def counting(doc):
+        calls.append(doc)
+        return plan(doc)
+
+    monkeypatch.setattr(pipeline, "plan_recognition", counting)
+    docs = [sign_doc(), sign_doc()]
+    for doc in docs:
+        pipeline.recognize_document(doc, pipeline.EchoRecognizer(doc))
+    assert calls == docs

@@ -294,6 +294,30 @@ class TestEval:
         assert err.startswith("error: ") and "min_iou" in err
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("value", ["-0.1", "1", "2"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_min_iou_outside_unit_interval_exits_3(self, tmp_path, capsys, source, value):
+        # a pair needs IoU > min_iou, so from 1 up nothing could match
+        gt_path = tmp_path / "gt.json"
+        save_document(synthetic_gt(3), gt_path)
+        report_path = tmp_path / "report.json"
+        argv = ["eval", str(gt_path), str(gt_path), "--out", str(report_path)]
+        if source == "flag":
+            argv.append(f"--min-iou={value}")
+        else:
+            (tmp_path / "cfg.json").write_text(f'{{"min_iou": {value}}}')
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: min_iou must be in [0, 1), got {float(value)}\n"
+        assert not report_path.exists()
+
+    def test_min_iou_config_respected(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.json"
+        save_document(synthetic_gt(3), gt_path)
+        (tmp_path / "cfg.json").write_text('{"min_iou": 0.99}')
+        assert main(["eval", str(gt_path), str(gt_path), "--config", str(tmp_path / "cfg.json")]) == 0
+        assert "matched pairs: 3" in capsys.readouterr().out
+
     @pytest.mark.parametrize("config_text", ['{"min_iou": NaN}', '{"min_iou": Infinity}'])
     def test_non_finite_min_iou_config_exits_3(self, tmp_path, capsys, config_text):
         gt_path = tmp_path / "gt.json"

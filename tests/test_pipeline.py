@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import tempfile
 import threading
@@ -17,7 +18,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockspot import pipeline
-from blockspot.geometry import GeometryError
+from blockspot.geometry import (
+    RECOGNIZER_ASPECT,
+    AlignedRect,
+    GeometryError,
+    quad_bounds,
+    rotate_point,
+    snap_rotation,
+    split_for_recognizer,
+)
 from blockspot.llm import (
     FinishReason,
     HttpBackend,
@@ -36,6 +45,7 @@ from blockspot.pipeline import (
     EchoRecognizer,
     OrderingOutcome,
     PipelineError,
+    RecognizerRequest,
     ScriptedRecognizer,
     Strategy,
     block_key,
@@ -109,8 +119,6 @@ class TestPlanRecognition:
         assert req.parts[-1].x_max == req.crop.x_max
 
     def test_rotated_line_snaps_back(self):
-        from blockspot.geometry import rotate_point
-
         quad = Quad.from_points(
             [rotate_point(p, 30.0) for p in ((100, 100), (300, 100), (300, 140), (100, 140))]
         )
@@ -130,6 +138,147 @@ class TestPlanRecognition:
         doc = Document(image_width=20, image_height=20, lines=(Line(id=7, box=thin),))
         with pytest.raises(GeometryError, match="line 7"):
             plan_recognition(doc)
+
+
+def loop_snap_rotation(vertices):
+    """Reference for ``snap_rotation``: an angle for every edge, in index order."""
+    n = len(vertices)
+    best_angle = None
+    best_len = 0.0
+    for i in range(n):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % n]
+        dx, dy = x1 - x0, y1 - y0
+        length = math.hypot(dx, dy)
+        if length < 1e-9:
+            continue
+        angle = math.degrees(math.atan2(dy, dx))
+        if angle <= -90.0:
+            angle += 180.0
+        elif angle > 90.0:
+            angle -= 180.0
+        better = length > best_len + 1e-9
+        if not better and abs(length - best_len) <= 1e-9 and best_angle is not None:
+            better = (abs(angle), -angle) < (abs(best_angle), -best_angle)
+        if better or best_angle is None:
+            best_len = length
+            best_angle = angle
+    if best_angle is None:
+        raise GeometryError("degenerate quad: all edges have zero length")
+    if abs(best_angle) <= 45.0:
+        return -best_angle
+    return math.copysign(90.0, best_angle) - best_angle
+
+
+def loop_split(rect):
+    """Reference for ``split_for_recognizer``: every part through the constructor."""
+    n = max(1, math.ceil(rect.width / (rect.height * RECOGNIZER_ASPECT) - 1e-12))
+    if n == 1:
+        return [rect]
+    edges = [rect.x_min + rect.width * i / n for i in range(n)]
+    edges.append(rect.x_max)
+    return [AlignedRect(edges[i], rect.y_min, edges[i + 1], rect.y_max) for i in range(n)]
+
+
+def reference_plan(doc):
+    """Reference for ``plan_recognition``: every crop rotates every vertex."""
+    requests = []
+    for line in doc.lines:
+        try:
+            rotation = loop_snap_rotation(line.box.vertices)
+            crop = quad_bounds([rotate_point(p, rotation) for p in line.box.vertices])
+            if crop.width < 1.0 - 1e-9 or crop.height < 1.0 - 1e-9:
+                raise GeometryError(f"crop smaller than one pixel: {crop}")
+            parts = tuple(loop_split(crop))
+        except GeometryError as e:
+            raise GeometryError(f"line {line.id}: {e}") from e
+        requests.append(RecognizerRequest(line.id, rotation, crop, parts))
+    return requests
+
+
+def outcome(call):
+    """("ok", repr of the result) or the error; repr tells -0.0 from 0.0."""
+    try:
+        return "ok", repr(call())
+    except GeometryError as e:
+        return "GeometryError", str(e)
+
+
+_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def plan_quads(draw):
+    """Upright, vertical, rotated, sub-pixel and huge-coordinate line boxes;
+    a zero coordinate takes either sign, drawn per vertex."""
+    scale = draw(st.sampled_from([1.0, 1.0, 1e6, 1e17]))  # edges collapse near 1e17
+    x = draw(st.one_of(_ZERO, st.floats(-1e3, 1e3))) * scale
+    y = draw(st.one_of(_ZERO, st.floats(-1e3, 1e3))) * scale
+    w, h = draw(st.floats(0.2, 400.0)), draw(st.floats(0.2, 100.0))  # below 1: sub-pixel
+    if draw(st.booleans()):
+        w, h = h, w  # vertical
+    corners = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+    angle = draw(st.one_of(st.sampled_from([0.0, 90.0, -90.0, 45.0]), st.floats(-90.0, 90.0)))
+    if angle:
+        corners = [rotate_point((px - x, py - y), angle) for px, py in corners]
+        corners = [(px + x, py + y) for px, py in corners]
+    corners = [(draw(_ZERO) if px == 0 else px, draw(_ZERO) if py == 0 else py) for px, py in corners]
+    try:
+        return Quad(tuple(corners))
+    except ValueError:  # rounding at a huge scale left no valid quad
+        assume(False)
+
+
+class TestPlanMatchesLoopReference:
+    """The cheap plan gives the reference's requests and errors exactly."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(plan_quads(), min_size=1, max_size=3))
+    def test_same_requests_and_errors(self, quads):
+        lines = tuple(Line(id=i, box=q) for i, q in enumerate(quads))
+        doc = Document(image_width=10, image_height=10, lines=lines)
+        assert outcome(lambda: plan_recognition(doc)) == outcome(lambda: reference_plan(doc))
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)) | st.tuples(_ZERO, st.floats(-5, 5)),
+                    max_size=6))
+    def test_snap_rotation_on_any_vertex_count(self, vertices):
+        # small integer grids give many equally long edges, so the tie rule decides
+        assert outcome(lambda: snap_rotation(vertices)) == outcome(lambda: loop_snap_rotation(vertices))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([1.0, 1e6, 1e16, 1e17, 1e18]), st.floats(-2.0, 2.0),
+           st.floats(1.0, 400.0), st.floats(1.0, 50.0))
+    def test_split_parts_and_errors(self, scale, x, width, height):
+        x_min = x * scale
+        assume(x_min < x_min + width)
+        rect = AlignedRect(x_min, 0.0, x_min + width, height)
+        assert outcome(lambda: split_for_recognizer(rect)) == outcome(lambda: loop_split(rect))
+
+    def test_collapsed_part_still_raises(self):
+        # near 1e17 floats are 16 apart, so 8-pixel edges round onto each other
+        doc = Document(image_width=10**18, image_height=10, lines=(
+            Line(id=3, box=Quad.from_points([[1e17, 0.0], [1e17 + 96.0, 0.0], [1e17 + 96.0, 2.0], [1e17, 2.0]])),
+        ))
+        message = "line 3: empty rectangle: AlignedRect(x_min=1e+17, y_min=0.0, x_max=1e+17, y_max=2.0)"
+        assert outcome(lambda: plan_recognition(doc)) == ("GeometryError", message)
+        assert outcome(lambda: reference_plan(doc)) == ("GeometryError", message)
+
+    def test_signed_zero_vertex_takes_the_rotated_crop(self):
+        # the box's bounds start at -0.0, but the rotated crop starts at 0.0
+        quad = Quad(((-0.0, 0.0), (100.0, 0.0), (100.0, 20.0), (0.0, 20.0)))
+        assert repr(quad.bounds) == "AlignedRect(x_min=-0.0, y_min=0.0, x_max=100.0, y_max=20.0)"
+        doc = Document(image_width=100, image_height=20, lines=(Line(id=1, box=quad),))
+        (request,) = plan_recognition(doc)
+        assert repr(request.crop) == "AlignedRect(x_min=0.0, y_min=0.0, x_max=100.0, y_max=20.0)"
+        assert repr([request]) == repr(reference_plan(doc))
+
+    def test_request_is_a_tuple(self):
+        (request,) = plan_recognition(Document(image_width=700, image_height=100,
+                                               lines=(make_line(4, 10, 30, 650, 62),)))
+        line_id, rotation, crop, parts = request
+        assert request == (4, rotation, crop, parts) and hash(request) == hash((4, rotation, crop, parts))
+        assert repr(request).startswith("RecognizerRequest(line_id=4, rotation=-0.0, crop=AlignedRect(")
 
 
 class TestRecognizeDocument:
