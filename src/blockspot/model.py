@@ -21,6 +21,12 @@ Schema (UTF-8 JSON)::
 
 Line texts hold no control characters, and no text holds a lone surrogate.
 Documents are immutable after parsing and safe to share between workers.
+
+A ``Line`` is an immutable 4-tuple ``(id, box, text, recognizer_confidence)``
+with named fields, and ``Line(...)`` takes the place of
+``dataclasses.replace`` for a changed line.  The inherited ``_replace`` and
+``_make`` skip its checks, and ``dataclasses.fields`` and ``asdict`` do not
+apply to it.  ``Quad``, ``Block`` and ``Document`` are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -32,13 +38,17 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .geometry import AlignedRect
 
 BOX_MARGIN_PX = 5.0
 # exact JSON value types: bool is an int subclass, and float() takes "10" too
 _INT, _NUMBER = frozenset((int,)), frozenset((int, float))
+
+
+def _not_int(key: str, value: Any) -> str:
+    return f"{key!r} must be an integer, got {value!r}"
 
 
 class DocumentError(ValueError):
@@ -76,21 +86,52 @@ class Quad:
         ka = (ax - dx) * (by - ay) - (ay - dy) * (bx - ax)
         kb = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
         kc = (cx - bx) * (dy - cy) - (cy - by) * (dx - cx)
-        if kd + ka + kb + kc < 0:
+        area4 = kd + ka + kb + kc
+        if area4 < 0:
             # reversing the winding negates every cross exactly and permutes them
             pts = ((ax, ay), (dx, dy), (cx, cy), (bx, by))
             object.__setattr__(self, "vertices", pts)
             bx, by, dx, dy = dx, dy, bx, by
             kd, ka, kb, kc = -kb, -ka, -kd, -kc
-        area4 = kd + ka + kb + kc
+            # summed again in the new order: -area4 can round a crossing quad's
+            # near-zero area to the other side of zero
+            area4 = kd + ka + kb + kc
         if not math.isfinite(area4):
             raise ValueError(f"non-finite vertex in {pts}")
         if area4 <= 0:
             raise ValueError("quad has zero area (collinear, repeated or crossing vertices)")
-        if min(kd, ka, kb, kc) < -1e-9 * max(kd, ka, kb, kc):  # a corner turning the other way
+        # a corner turning the other way; only a negative cross can be one
+        if (kd < 0 or ka < 0 or kb < 0 or kc < 0) and min(kd, ka, kb, kc) < -1e-9 * max(kd, ka, kb, kc):
             raise ValueError("quad is not convex")
-        bounds = AlignedRect(min(ax, bx, cx, dx), min(ay, by, cy, dy), max(ax, bx, cx, dx), max(ay, by, cy, dy))
-        object.__setattr__(self, "bounds", bounds)
+        # Comparison chains keep the first of equal values, as min and max do,
+        # so a -0.0 or 0.0 bound is the one min and max would pick.
+        x0 = x1 = ax
+        if bx < x0:
+            x0 = bx
+        elif bx > x1:
+            x1 = bx
+        if cx < x0:
+            x0 = cx
+        elif cx > x1:
+            x1 = cx
+        if dx < x0:
+            x0 = dx
+        elif dx > x1:
+            x1 = dx
+        y0 = y1 = ay
+        if by < y0:
+            y0 = by
+        elif by > y1:
+            y1 = by
+        if cy < y0:
+            y0 = cy
+        elif cy > y1:
+            y1 = cy
+        if dy < y0:
+            y0 = dy
+        elif dy > y1:
+            y1 = dy
+        object.__setattr__(self, "bounds", AlignedRect(x0, y0, x1, y1))
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[float]]) -> "Quad":
@@ -99,7 +140,7 @@ class Quad:
         if len(points) != 4:
             raise ValueError(f"quad needs 4 vertices, got {len(points)}")
         (ax, ay), (bx, by), (cx, cy), (dx, dy) = points
-        if not _NUMBER.issuperset(map(type, (ax, ay, bx, by, cx, cy, dx, dy))):
+        if not {type(ax), type(ay), type(bx), type(by), type(cx), type(cy), type(dx), type(dy)} <= _NUMBER:
             raise ValueError(f"vertex coordinates must be numbers, got {points!r}")
         return cls(
             ((float(ax), float(ay)), (float(bx), float(by)), (float(cx), float(cy)), (float(dx), float(dy)))
@@ -111,20 +152,31 @@ _BAD_LINE_TEXT = re.compile(r"[\x00-\x1f\x7f\ud800-\udfff]")
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-@dataclass(frozen=True)
-class Line:
-    """One detected text line."""
-
+class _LineFields(NamedTuple):
     id: int
     box: Quad
-    text: str = ""
-    recognizer_confidence: float | None = None
+    text: str
+    recognizer_confidence: float | None
 
-    def __post_init__(self) -> None:
-        if _BAD_LINE_TEXT.search(self.text):
-            raise ValueError(f"line {self.id}: text contains control characters or lone surrogates")
-        if self.recognizer_confidence is not None and not 0.0 <= self.recognizer_confidence <= 1.0:
-            raise ValueError(f"line {self.id}: confidence outside [0, 1]")
+
+class Line(_LineFields):
+    """One detected text line.
+
+    A line is an immutable 4-tuple ``(id, box, text, recognizer_confidence)``:
+    it unpacks, hashes and compares equal as one.  The constructor (and so
+    ``copy`` and ``pickle``) checks the text and the confidence; build a
+    changed line with ``Line(...)``, not with the inherited ``_replace`` or
+    ``_make``, which skip those checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, box: Quad, text: str = "", recognizer_confidence: float | None = None) -> "Line":
+        if _BAD_LINE_TEXT.search(text):
+            raise ValueError(f"line {id}: text contains control characters or lone surrogates")
+        if recognizer_confidence is not None and not 0.0 <= recognizer_confidence <= 1.0:
+            raise ValueError(f"line {id}: confidence outside [0, 1]")
+        return tuple.__new__(cls, (id, box, text, recognizer_confidence))
 
 
 @dataclass(frozen=True)
@@ -172,25 +224,28 @@ class Document:
 
 def validate_document(doc: Document, *, source: str = "<memory>") -> None:
     """Check cross-object invariants; raises DocumentError on the first hit."""
+    for key, value in (("image_width", doc.image_width), ("image_height", doc.image_height)):
+        if type(value) is not int:  # a NaN width would pass every box bound check below
+            raise DocumentError(_not_int(key, value), source=source)
     if doc.image_width <= 0 or doc.image_height <= 0:
         raise DocumentError(
             f"image dimensions must be positive, got {doc.image_width}x{doc.image_height}",
             source=source,
         )
     seen_ids: set[int] = set()
-    for line in doc.lines:
-        if line.id in seen_ids:
-            raise DocumentError(f"duplicate line id {line.id}", source=source)
-        seen_ids.add(line.id)
-        rect = line.box.bounds
+    for line_id, box, _, _ in doc.lines:
+        if line_id in seen_ids:
+            raise DocumentError(f"duplicate line id {line_id}", source=source)
+        seen_ids.add(line_id)
+        x_min, y_min, x_max, y_max = box.bounds
         if (
-            rect.x_min < -BOX_MARGIN_PX
-            or rect.y_min < -BOX_MARGIN_PX
-            or rect.x_max > doc.image_width + BOX_MARGIN_PX
-            or rect.y_max > doc.image_height + BOX_MARGIN_PX
+            x_min < -BOX_MARGIN_PX
+            or y_min < -BOX_MARGIN_PX
+            or x_max > doc.image_width + BOX_MARGIN_PX
+            or y_max > doc.image_height + BOX_MARGIN_PX
         ):
             raise DocumentError(
-                f"line {line.id} box leaves the image by more than {BOX_MARGIN_PX}px",
+                f"line {line_id} box leaves the image by more than {BOX_MARGIN_PX}px",
                 source=source,
             )
     claimed: set[int] = set()
@@ -231,8 +286,8 @@ def parse_document(
     try:
         width = _expect_int(data, "image_width")
         height = _expect_int(data, "image_height")
-        lines = tuple(_parse_line(obj, i, source) for i, obj in enumerate(_expect_list(data, "lines")))
-        blocks = tuple(_parse_block(obj, i, source) for i, obj in enumerate(_expect_list(data, "blocks")))
+        lines = tuple([_parse_line(obj, i, source) for i, obj in enumerate(_expect_list(data, "lines"))])
+        blocks = tuple([_parse_block(obj, i, source) for i, obj in enumerate(_expect_list(data, "blocks"))])
         doc = Document(
             image_width=width,
             image_height=height,
@@ -281,8 +336,8 @@ def save_document(doc: Document, path: str | Path) -> None:
 
 def _expect_int(data: dict, key: str) -> int:
     v = data[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"{key!r} must be an integer, got {v!r}")
+    if type(v) is not int:  # not a bool, an int subclass
+        raise ValueError(_not_int(key, v))
     return v
 
 
@@ -306,8 +361,7 @@ def _parse_line(obj: Any, index: int, source: str) -> Line:
             if type(confidence) not in _NUMBER:
                 raise ValueError(f"confidence must be a number, got {confidence!r}")
             confidence = float(confidence)
-        box = Quad.from_points(obj["vertices"])
-        return Line(id=line_id, box=box, text=text, recognizer_confidence=confidence)
+        return Line(line_id, Quad.from_points(obj["vertices"]), text, confidence)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DocumentError(f"lines[{index}]: {e}", source=source) from e
 
@@ -322,6 +376,6 @@ def _parse_block(obj: Any, index: int, source: str) -> Block:
         text = obj.get("text")
         if text is not None and (not isinstance(text, str) or LONE_SURROGATE.search(text)):
             raise ValueError("block text must be a string without lone surrogates")
-        return Block(line_ids=tuple(line_ids), text=text)
+        return Block(tuple(line_ids), text)
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"blocks[{index}]: {e}", source=source) from e

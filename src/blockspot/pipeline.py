@@ -43,7 +43,7 @@ from .geometry import (
     split_for_recognizer,
 )
 from .llm import LlmBackend, LlmConfig, LlmError, LlmRefusedError, complete, fits_context
-from .model import Block, Document
+from .model import Block, Document, Line
 from .prompting import ChatPrompt, build_prompt, length_guard
 
 # Blocks in flight at once while a backend's sends wait; only provider
@@ -172,7 +172,7 @@ def recognize_document(doc: Document, recognizer: Recognizer) -> Document:
                 f"expected {len(request.parts)}"
             )
         text = "".join(parts)
-        lines.append(line if line.text == text else replace(line, text=text))
+        lines.append(line if line.text == text else Line(line.id, line.box, text, line.recognizer_confidence))
     new_lines = tuple(lines)
     return doc if new_lines == doc.lines else replace(doc, lines=new_lines)
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -217,6 +219,17 @@ class TestParse:
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(DocumentError, match="dimensions"):
             parse(doc_dict(image_width=0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, 100.0], ids=["nan", "inf", "bool", "float"])
+    @pytest.mark.parametrize("key", ["image_width", "image_height"])
+    def test_non_int_dims_rejected_by_validate_as_by_parse(self, key, bad):
+        # a NaN width would let every box bound check pass
+        with pytest.raises(DocumentError) as parsed:
+            parse(doc_dict(**{key: bad}))
+        doc = Document(**{"image_width": 800, "image_height": 600, key: bad})
+        with pytest.raises(DocumentError) as validated:
+            validate_document(doc)
+        assert validated.value.reason == parsed.value.reason == f"{key!r} must be an integer, got {bad!r}"
 
     def test_error_corpus_never_crashes(self):
         fixtures = [
@@ -817,3 +830,52 @@ class TestTypes:
         assert new.line_by_id(1).text == "new"
         assert doc.line_by_id(1).text == "old"
         assert doc == Document(image_width=100, image_height=100, lines=(Line(1, box, "old"),))
+
+
+class TestLine:
+    """A line is an immutable 4-tuple (id, box, text, recognizer_confidence)
+    that repeats what the dataclass it replaced showed: its repr and hash."""
+
+    BOX = Quad.from_points([[0, 0], [10, 0], [10, 5], [0, 5]])
+
+    def test_is_a_tuple_of_its_fields(self):
+        line = Line(1, self.BOX, "EXIT", 0.5)
+        line_id, box, text, confidence = line
+        assert (line_id, box, text, confidence) == (line.id, line.box, line.text, line.recognizer_confidence)
+        assert len(line) == 4 and line[0] == 1 and line[2] == "EXIT" and line[-1] == 0.5
+        assert line == (1, self.BOX, "EXIT", 0.5) and tuple(line) == (1, self.BOX, "EXIT", 0.5)
+
+    def test_hash_is_the_hash_of_its_fields(self):
+        # a frozen dataclass hashed the tuple of its fields too
+        line = Line(1, self.BOX, "EXIT", 0.5)
+        assert hash(line) == hash((1, self.BOX, "EXIT", 0.5))
+        assert {line: 1}[Line(1, self.BOX, "EXIT", 0.5)] == 1
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(Line(1, self.BOX, "EXIT", 0.5)) == (
+            "Line(id=1, box=Quad(vertices=((0.0, 0.0), (10.0, 0.0), (10.0, 5.0), (0.0, 5.0))), "
+            "text='EXIT', recognizer_confidence=0.5)"
+        )
+
+    def test_keyword_construction_and_defaults(self):
+        line = Line(id=1, box=self.BOX, text="ok")
+        assert line == Line(1, self.BOX, "ok") == (1, self.BOX, "ok", None)
+        assert Line(2, self.BOX).text == ""
+
+    def test_pickle_copy_and_deepcopy_check_again(self):
+        line = Line(1, self.BOX, "EXIT", 0.5)
+        for again in (pickle.loads(pickle.dumps(line)), copy.copy(line), copy.deepcopy(line)):
+            assert type(again) is Line and again == line and hash(again) == hash(line)
+        bad = line._replace(text="EX\x07IT")  # _replace skips the checks
+        for clone in (lambda: pickle.loads(pickle.dumps(bad)), lambda: copy.copy(bad), lambda: copy.deepcopy(bad)):
+            with pytest.raises(ValueError, match="control characters"):
+                clone()
+
+    def test_fields_cannot_be_assigned(self):
+        line = Line(1, self.BOX, "EXIT")
+        for name in ("id", "box", "text", "recognizer_confidence"):
+            with pytest.raises(AttributeError):
+                setattr(line, name, None)
+        with pytest.raises(AttributeError):
+            line.label = "x"
+        assert line == (1, self.BOX, "EXIT", None)

@@ -341,6 +341,19 @@ class TestRecognizeDocument:
         with pytest.raises(ValueError, match="control characters"):
             recognize_document(doc, ScriptedRecognizer({0: ["EX\x07IT"]}))
 
+    def test_changed_line_is_rebuilt_through_the_checks(self):
+        line = make_line(0, 10, 70, 110, 95, "EXIT")
+        doc = Document(image_width=700, image_height=100, lines=(line,))
+        out = recognize_document(doc, ScriptedRecognizer({0: ["EXTI"]}))
+        assert type(out.lines[0]) is Line and out.lines[0] == (0, line.box, "EXTI", None)
+        # a line whose confidence slipped past the checks (``_replace`` skips
+        # them) is refused once the recognizer changes its text
+        bad = Document(image_width=700, image_height=100, lines=(line._replace(recognizer_confidence=1.5),))
+        with pytest.raises(ValueError, match=r"confidence outside \[0, 1\]"):
+            recognize_document(bad, ScriptedRecognizer({0: ["EXTI"]}))
+        with pytest.raises(ValueError, match="control characters"):
+            recognize_document(bad, ScriptedRecognizer({0: ["EX\x07IT"]}))
+
 
 # One order_block case per strategy on the two-line sign, as block 2:
 # line ids, scripted replies (None: no backend), config overrides, and the
