@@ -19,14 +19,15 @@ Schema (UTF-8 JSON)::
       ]
     }
 
-Line texts hold no control characters, and no text holds a lone surrogate.
-Documents are immutable after parsing and safe to share between workers.
-
-A ``Line`` is an immutable 4-tuple ``(id, box, text, recognizer_confidence)``
-with named fields, and ``Line(...)`` takes the place of
-``dataclasses.replace`` for a changed line.  The inherited ``_replace`` and
-``_make`` skip its checks, and ``dataclasses.fields`` and ``asdict`` do not
-apply to it.  ``Quad``, ``Block`` and ``Document`` are frozen dataclasses.
+Each rule has one home.  ``Quad`` checks a box and ``Quad.from_points`` the
+JSON coordinate types; ``Line(...)`` checks a line's id, text (no control
+character, no lone surrogate) and confidence; ``Block`` checks that its ids
+are there and distinct; ``validate_document`` checks the rest: image
+dimensions, unique line ids, boxes on the page, block ids and block texts.
+``parse_document`` only maps JSON onto those constructors and validates, so
+a document that passes ``validate_document`` round-trips through
+``serialize_document``.  Documents are immutable and safe to share between
+workers.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from typing import Any, Iterable, NamedTuple, Sequence
 from .geometry import AlignedRect
 
 BOX_MARGIN_PX = 5.0
-# exact JSON value types: bool is an int subclass, and float() takes "10" too
-_INT, _NUMBER = frozenset((int,)), frozenset((int, float))
+# exact JSON number types: bool is an int subclass, and float() takes "10" too
+_NUMBER = frozenset((int, float))
 
 
 def _not_int(key: str, value: Any) -> str:
@@ -164,18 +165,29 @@ class Line(_LineFields):
 
     A line is an immutable 4-tuple ``(id, box, text, recognizer_confidence)``:
     it unpacks, hashes and compares equal as one.  The constructor (and so
-    ``copy`` and ``pickle``) checks the text and the confidence; build a
-    changed line with ``Line(...)``, not with the inherited ``_replace`` or
-    ``_make``, which skip those checks.
+    ``copy`` and ``pickle``) checks the id (an ``int``), the text (a ``str``)
+    and the confidence (``None`` or an ``int`` or ``float`` in [0, 1], stored
+    as a float); build a changed line with ``Line(...)``, not with the
+    inherited ``_replace`` or ``_make``, which skip those checks.
+    ``dataclasses.fields`` and ``asdict`` do not apply to it.
     """
 
     __slots__ = ()
 
     def __new__(cls, id: int, box: Quad, text: str = "", recognizer_confidence: float | None = None) -> "Line":
+        if type(id) is not int:
+            raise ValueError(_not_int("id", id))
+        if type(text) is not str:
+            raise ValueError(f"line {id}: text must be a string")
         if _BAD_LINE_TEXT.search(text):
             raise ValueError(f"line {id}: text contains control characters or lone surrogates")
-        if recognizer_confidence is not None and not 0.0 <= recognizer_confidence <= 1.0:
-            raise ValueError(f"line {id}: confidence outside [0, 1]")
+        if recognizer_confidence is not None:
+            if type(recognizer_confidence) not in _NUMBER:
+                raise ValueError(f"confidence must be a number, got {recognizer_confidence!r}")
+            # compared before float(): an int too large for a float is just out of range
+            if not 0.0 <= recognizer_confidence <= 1.0:
+                raise ValueError(f"line {id}: confidence outside [0, 1]")
+            recognizer_confidence = float(recognizer_confidence)
         return tuple.__new__(cls, (id, box, text, recognizer_confidence))
 
 
@@ -223,7 +235,7 @@ class Document:
 
 
 def validate_document(doc: Document, *, source: str = "<memory>") -> None:
-    """Check cross-object invariants; raises DocumentError on the first hit."""
+    """Check the rules no constructor owns; raises DocumentError on the first hit."""
     for key, value in (("image_width", doc.image_width), ("image_height", doc.image_height)):
         if type(value) is not int:  # a NaN width would pass every box bound check below
             raise DocumentError(_not_int(key, value), source=source)
@@ -232,25 +244,33 @@ def validate_document(doc: Document, *, source: str = "<memory>") -> None:
             f"image dimensions must be positive, got {doc.image_width}x{doc.image_height}",
             source=source,
         )
+    x_limit = y_limit = math.inf
+    if doc.lines:  # only a box needs the limits: a page without lines may be wider than a float
+        try:
+            x_limit = doc.image_width + BOX_MARGIN_PX
+            y_limit = doc.image_height + BOX_MARGIN_PX
+        except OverflowError:
+            key = "image_width" if x_limit == math.inf else "image_height"
+            raise DocumentError(f"{key!r} is too large for a float", source=source) from None
     seen_ids: set[int] = set()
     for line_id, box, _, _ in doc.lines:
         if line_id in seen_ids:
             raise DocumentError(f"duplicate line id {line_id}", source=source)
         seen_ids.add(line_id)
         x_min, y_min, x_max, y_max = box.bounds
-        if (
-            x_min < -BOX_MARGIN_PX
-            or y_min < -BOX_MARGIN_PX
-            or x_max > doc.image_width + BOX_MARGIN_PX
-            or y_max > doc.image_height + BOX_MARGIN_PX
-        ):
+        if x_min < -BOX_MARGIN_PX or y_min < -BOX_MARGIN_PX or x_max > x_limit or y_max > y_limit:
             raise DocumentError(
                 f"line {line_id} box leaves the image by more than {BOX_MARGIN_PX}px",
                 source=source,
             )
     claimed: set[int] = set()
     for i, block in enumerate(doc.blocks):
+        text = block.text
+        if text is not None and (type(text) is not str or LONE_SURROGATE.search(text)):
+            raise DocumentError(f"block {i}: text must be a string without lone surrogates", source=source)
         for lid in block.line_ids:
+            if type(lid) is not int:  # 1.0 and True would match line 1
+                raise DocumentError(f"block {i}: line ids must be integers, got {lid!r}", source=source)
             if lid not in seen_ids:
                 raise DocumentError(f"block {i}: unknown line id {lid}", source=source)
             if lid in claimed:
@@ -284,22 +304,18 @@ def parse_document(
         raise DocumentError("top level must be a JSON object", source=source)
 
     try:
-        width = _expect_int(data, "image_width")
-        height = _expect_int(data, "image_height")
-        lines = tuple([_parse_line(obj, i, source) for i, obj in enumerate(_expect_list(data, "lines"))])
-        blocks = tuple([_parse_block(obj, i, source) for i, obj in enumerate(_expect_list(data, "blocks"))])
         doc = Document(
-            image_width=width,
-            image_height=height,
-            lines=lines,
-            blocks=blocks,
+            image_width=data["image_width"],
+            image_height=data["image_height"],
+            lines=tuple([_parse_line(obj, i, source) for i, obj in enumerate(_expect_list(data, "lines"))]),
+            blocks=tuple([_parse_block(obj, i, source) for i, obj in enumerate(_expect_list(data, "blocks"))]),
             is_ground_truth=kind is DocumentKind.GROUND_TRUTH,
         )
-        validate_document(doc, source=source)
     except DocumentError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as e:  # overflow: ints beyond float
+    except (KeyError, ValueError) as e:
         raise DocumentError(str(e), source=source) from e
+    validate_document(doc, source=source)
     return doc
 
 
@@ -334,13 +350,6 @@ def save_document(doc: Document, path: str | Path) -> None:
     Path(path).write_bytes(serialize_document(doc) + b"\n")
 
 
-def _expect_int(data: dict, key: str) -> int:
-    v = data[key]
-    if type(v) is not int:  # not a bool, an int subclass
-        raise ValueError(_not_int(key, v))
-    return v
-
-
 def _expect_list(data: dict, key: str) -> list:
     v = data[key]
     if not isinstance(v, list):
@@ -352,17 +361,8 @@ def _parse_line(obj: Any, index: int, source: str) -> Line:
     if not isinstance(obj, dict):
         raise DocumentError(f"lines[{index}] must be an object", source=source)
     try:
-        line_id = _expect_int(obj, "id")
-        text = obj.get("text", "")
-        confidence = obj.get("confidence")
-        if not isinstance(text, str):
-            raise ValueError(f"line {line_id}: text must be a string")
-        if confidence is not None:
-            if type(confidence) not in _NUMBER:
-                raise ValueError(f"confidence must be a number, got {confidence!r}")
-            confidence = float(confidence)
-        return Line(line_id, Quad.from_points(obj["vertices"]), text, confidence)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        return Line(obj["id"], Quad.from_points(obj["vertices"]), obj.get("text", ""), obj.get("confidence"))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # overflow: coordinates beyond a float
         raise DocumentError(f"lines[{index}]: {e}", source=source) from e
 
 
@@ -370,12 +370,6 @@ def _parse_block(obj: Any, index: int, source: str) -> Block:
     if not isinstance(obj, dict):
         raise DocumentError(f"blocks[{index}] must be an object", source=source)
     try:
-        line_ids = obj["line_ids"]
-        if not isinstance(line_ids, list) or not _INT.issuperset(map(type, line_ids)):
-            raise ValueError("line_ids must be a list of integers")
-        text = obj.get("text")
-        if text is not None and (not isinstance(text, str) or LONE_SURROGATE.search(text)):
-            raise ValueError("block text must be a string without lone surrogates")
-        return Block(tuple(line_ids), text)
-    except (KeyError, TypeError, ValueError) as e:
+        return Block(tuple(_expect_list(obj, "line_ids")), obj.get("text"))
+    except (KeyError, TypeError, ValueError) as e:  # TypeError: unhashable ids
         raise DocumentError(f"blocks[{index}]: {e}", source=source) from e

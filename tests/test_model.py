@@ -13,7 +13,7 @@ from itertools import chain
 
 import pytest
 from conftest import HOSTILE_DOCUMENTS
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blockspot.geometry import AlignedRect, quad_bounds
@@ -879,3 +879,146 @@ class TestLine:
         with pytest.raises(AttributeError):
             line.label = "x"
         assert line == (1, self.BOX, "EXIT", None)
+
+
+def _box(k: int) -> Quad:
+    return Quad.from_points([[0, 10 * k], [50, 10 * k], [50, 10 * k + 5], [0, 10 * k + 5]])
+
+
+def round_trip_outcome(build):
+    """How an in-memory document ends: its constructor raises ValueError,
+    ``validate_document`` raises DocumentError, or it round-trips through
+    JSON to an equal document with an equal snapshot."""
+    try:
+        doc = build()
+    except DocumentError:
+        raise
+    except ValueError:
+        return "constructor"
+    try:
+        validate_document(doc)
+    except DocumentError:
+        return "validate"
+    again = parse_document(serialize_document(doc))
+    assert again == doc and repr(snapshot(again)) == repr(snapshot(doc))
+    return "round-trips"
+
+
+_ODD_ID = st.integers(0, 4) | st.sampled_from([1.5, True, False, 1.0, 0.0])
+_ODD_CONFIDENCE = st.sampled_from([None, 0, 1, 0.25, 1.0, True, False, 1.5, math.nan, 10**400, "0.5"])
+_ODD_BLOCK_TEXT = st.sampled_from([None, "", "ok", "EX\nIT", "\U0001f600", "\ud800", "a\udfffb", 7, b"ok"])
+_ODD_DIMENSION = st.sampled_from([100, 100, 100, 1, 100.0, True, 10**400])
+
+
+@st.composite
+def in_memory_documents(draw):
+    """Arguments for a Document built in memory from odd ids, confidences,
+    block ids, block texts and image dimensions."""
+    lines = [
+        (draw(_ODD_ID), k, draw(st.sampled_from(["", "EXIT", "a\nb", "\ud800"])), draw(_ODD_CONFIDENCE))
+        for k in range(draw(st.integers(0, 4)))
+    ]
+    known = [line_id for line_id, _, _, _ in lines]
+    block_id = st.sampled_from(known) | _ODD_ID if known else _ODD_ID
+    blocks = draw(st.lists(st.tuples(st.lists(block_id, max_size=3), _ODD_BLOCK_TEXT), max_size=3))
+    return draw(_ODD_DIMENSION), draw(_ODD_DIMENSION), lines, blocks
+
+
+def build_document(width, height, lines, blocks):
+    return Document(
+        width,
+        height,
+        tuple(Line(line_id, _box(k), text, confidence) for line_id, k, text, confidence in lines),
+        tuple(Block(tuple(ids), text) for ids, text in blocks),
+    )
+
+
+class TestValidatedDocumentsRoundTrip:
+    """A document that passes ``validate_document`` serializes and parses back
+    to itself: no rule is checked only by the parser."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(in_memory_documents())
+    @example((100, 100, [(1.5, 0, "x", None)], [((1.5,), None)]))
+    @example((100, 100, [(True, 0, "x", None)], [((True,), None)]))
+    @example((100, 100, [(1, 0, "x", True)], []))
+    @example((100, 100, [(1, 0, "x", None)], [((1,), "EX\ud800IT")]))
+    def test_constructor_or_validate_rejects_or_it_round_trips(self, args):
+        round_trip_outcome(lambda: build_document(*args))
+
+    def test_corpus_reaches_every_outcome(self):
+        outcomes = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(in_memory_documents())
+        def collect(args):
+            outcomes.add(round_trip_outcome(lambda: build_document(*args)))
+
+        collect()
+        assert outcomes == {"constructor", "validate", "round-trips"}
+
+    @pytest.mark.parametrize(
+        "lines, blocks, reason",
+        [
+            ([(1.5, 0, "x", None)], [((1.5,), None)], "'id' must be an integer, got 1.5"),
+            ([(True, 0, "x", None)], [((True,), None)], "'id' must be an integer, got True"),
+            ([(1, 0, "x", True)], [], "confidence must be a number, got True"),
+        ],
+        ids=["float-id", "bool-id", "bool-confidence"],
+    )
+    def test_line_field_types_are_checked_by_the_constructor(self, lines, blocks, reason):
+        with pytest.raises(ValueError) as err:
+            build_document(100, 100, lines, blocks)
+        assert str(err.value) == reason
+        # the parser reports the same rule for the same JSON
+        data = doc_dict(lines=[{"id": 1, "vertices": [[0, 0], [50, 0], [50, 5], [0, 5]], "text": "x"}], blocks=[])
+        line_id, _, _, confidence = lines[0]
+        data["lines"][0].update(id=line_id, confidence=confidence)
+        with pytest.raises(DocumentError) as parsed:
+            parse(data)
+        assert parsed.value.reason == f"lines[0]: {reason}"
+
+    @pytest.mark.parametrize(
+        "ids, text, reason",
+        [
+            ((1,), "EX\ud800IT", "block 0: text must be a string without lone surrogates"),
+            ((1,), 7, "block 0: text must be a string without lone surrogates"),
+            ((1.0,), None, "block 0: line ids must be integers, got 1.0"),
+            ((True,), None, "block 0: line ids must be integers, got True"),
+        ],
+        ids=["lone-surrogate-text", "int-text", "float-id", "bool-id"],
+    )
+    def test_block_rules_are_checked_by_validate(self, ids, text, reason):
+        doc = build_document(100, 100, [(1, 0, "x", None)], [(ids, text)])
+        with pytest.raises(DocumentError) as err:
+            validate_document(doc)
+        assert err.value.reason == reason
+
+    def test_integer_confidence_is_stored_as_a_float(self):
+        line = Line(1, _box(0), "x", 1)
+        assert type(line.recognizer_confidence) is float and repr(line.recognizer_confidence) == "1.0"
+        assert round_trip_outcome(lambda: Document(100, 100, (line,))) == "round-trips"
+
+    def test_confidence_too_large_for_a_float_is_out_of_range(self):
+        with pytest.raises(ValueError, match=re.escape("line 1: confidence outside [0, 1]")):
+            Line(1, _box(0), "x", 10**400)
+
+
+class TestHugeDimensions:
+    """An image dimension too large for a float is named when a box must be
+    compared with it, and harmless on a page without lines."""
+
+    @pytest.mark.parametrize("key", ["image_width", "image_height"])
+    def test_rejected_with_its_name_when_the_document_has_lines(self, key):
+        with pytest.raises(DocumentError) as parsed:
+            parse(doc_dict(**{key: 10**400}))
+        doc = Document(**{"image_width": 100, "image_height": 100, key: 10**400, "lines": (Line(1, _box(0)),)})
+        with pytest.raises(DocumentError) as validated:
+            validate_document(doc)
+        assert parsed.value.reason == validated.value.reason == f"{key!r} is too large for a float"
+
+    @pytest.mark.parametrize("key", ["image_width", "image_height"])
+    def test_accepted_without_lines(self, key):
+        doc = parse(doc_dict(**{key: 10**400, "lines": [], "blocks": []}))
+        assert getattr(doc, key) == 10**400
+        assert parse_document(serialize_document(doc)) == doc
