@@ -4,9 +4,9 @@ Lines are arranged either as stacked rows read top-to-bottom then
 left-to-right (the usual case for horizontal text), or as side-by-side
 columns read left-to-right then top-to-bottom (vertical text).  This is
 the order used to pass lines to the LLM and the fallback when the LLM
-cannot be used.  The clustering rule here is a pragmatic stand-in: lines
-whose vertical centers sit within half the median line height of each
-other are treated as one row (transposed for columns).  Both read each
+cannot be used.  The clustering rule here is a pragmatic stand-in: single
+linkage over the sorted vertical centers, so a gap of half the median line
+height or more starts a new row (transposed for columns).  Both read each
 line's ``box.bounds``.
 """
 
@@ -40,8 +40,8 @@ def geometric_order(lines: Sequence[Line]) -> list[int]:
     """Order line ids by position alone; always a permutation of the input.
 
     Rows (or columns) are formed by single-linkage clustering on center
-    distance with threshold 0.5 x the median rect extent, sorted by their
-    mean center, and read x_min-first (y_min-first for columns).  All ties
+    distance with threshold 0.5 x the median rect extent, read in position
+    order, and each read x_min-first (y_min-first for columns).  All ties
     break toward the smaller line id, so the result is deterministic and
     translation invariant.
     """
@@ -59,25 +59,16 @@ def geometric_order(lines: Sequence[Line]) -> list[int]:
 
     ids = [line.id for line in lines]
 
-    # Single-linkage clusters over |center distance| < threshold: in 1-D
-    # these are the runs of the sorted centers split at every gap >= threshold.
-    groups: list[list[int]] = []
+    # Single-linkage rows over |center distance| < threshold: in 1-D these
+    # are the runs of the sorted centers split at every gap >= threshold, so
+    # the sweep numbers the rows in reading order.  Sweeping in (center, id)
+    # order keeps tied centers in id order when the threshold is 0.0.
+    keyed = []
+    row = -1
     previous = None
-    for i in sorted(range(len(lines)), key=along.__getitem__):
-        if previous is None or along[i] - previous >= threshold:
-            groups.append([])
-        groups[-1].append(i)
-        previous = along[i]
-
-    ordered_groups = sorted(
-        groups,
-        key=lambda members: (
-            sum(along[i] for i in members) / len(members),
-            min(ids[i] for i in members),
-        ),
-    )
-    result: list[int] = []
-    for members in ordered_groups:
-        members.sort(key=lambda i: (across[i], ids[i]))
-        result.extend(ids[i] for i in members)
-    return result
+    for center, line_id, i in sorted(zip(along, ids, range(len(lines)))):
+        if previous is None or center - previous >= threshold:
+            row += 1
+        keyed.append((row, across[i], line_id))
+        previous = center
+    return [line_id for _, _, line_id in sorted(keyed)]

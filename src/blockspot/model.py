@@ -239,6 +239,10 @@ def validate_document(doc: Document, *, source: str = "<memory>") -> None:
     for key, value in (("image_width", doc.image_width), ("image_height", doc.image_height)):
         if type(value) is not int:  # a NaN width would pass every box bound check below
             raise DocumentError(_not_int(key, value), source=source)
+        try:
+            repr(value)  # what serialize_document writes, within the interpreter's digit limit
+        except ValueError:
+            raise DocumentError(f"{key!r} has too many digits to write", source=source) from None
     if doc.image_width <= 0 or doc.image_height <= 0:
         raise DocumentError(
             f"image dimensions must be positive, got {doc.image_width}x{doc.image_height}",

@@ -125,6 +125,20 @@ class TestGeometricOrder:
         lines = [make_line(5, rect), make_line(2, rect)]
         assert geometric_order(lines) == [2, 5]
 
+    def test_rows_a_few_ulps_apart_read_in_position_order(self):
+        # line 0's center sits one ulp below the others', and the threshold is
+        # one ulp, so it is a row of its own below theirs; a rounded mean of
+        # the upper row must not move that row after it
+        lines = [make_line(0, AlignedRect(20, 1000.0000000000001, 70, 1000.0000000000003))]
+        lines += [make_line(i + 1, AlignedRect(100 * i, 1000.0, 100 * i + 50, 1000.0000000000002)) for i in range(5)]
+        assert geometric_order(lines) == [1, 2, 3, 4, 5, 0]
+
+    def test_subnormal_heights_read_tied_centers_by_id(self):
+        # the threshold rounds to 0.0, so every line is a row of its own
+        lines = [make_line(i, AlignedRect(x, 0.0, x + 50, 5e-324)) for i, x in ((3, 0), (1, 200), (2, 100))]
+        assert 0.5 * lines[0].box.bounds.height == 0.0
+        assert geometric_order(lines) == [1, 2, 3]
+
     def test_column_mode_transposed(self):
         left = make_line(1, AlignedRect(0, 0, 20, 100))
         right = make_line(0, AlignedRect(40, 5, 60, 105))
@@ -181,19 +195,31 @@ class TestGeometricOrder:
         assert geometric_order(lines) == geometric_order(list(lines))
 
     @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 40),  # x_min, y_min on a coarse grid: many tied centers
-                st.integers(0, 40),
-                st.sampled_from([1, 2, 4, 7, 12, 30]),  # width
-                st.sampled_from([1, 2, 4, 7, 12, 30]),  # height
+        st.one_of(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 40),  # x_min, y_min on a coarse grid: many tied centers
+                    st.integers(0, 40),
+                    st.sampled_from([1, 2, 4, 7, 12, 30]),  # width
+                    st.sampled_from([1, 2, 4, 7, 12, 30]),  # height
+                ),
+                min_size=1,
+                max_size=12,
             ),
-            min_size=1,
-            max_size=12,
+            st.lists(  # float boxes, up to the 36 lines of a poster
+                st.tuples(
+                    st.floats(0, 500),
+                    st.floats(0, 500),
+                    st.floats(0.5, 300),
+                    st.floats(0.5, 300),
+                ),
+                min_size=1,
+                max_size=36,
+            ),
         ),
-        st.permutations(range(12)),
+        st.permutations(range(36)),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_matches_union_find_oracle(self, boxes, id_perm):
         lines = [
             make_line(id_perm[i], AlignedRect(x, y, x + w, y + h))

@@ -943,6 +943,8 @@ class TestValidatedDocumentsRoundTrip:
     @example((100, 100, [(True, 0, "x", None)], [((True,), None)]))
     @example((100, 100, [(1, 0, "x", True)], []))
     @example((100, 100, [(1, 0, "x", None)], [((1,), "EX\ud800IT")]))
+    @example((10**5000, 1, [], []))
+    @example((-(10**5000), 1, [], []))
     def test_constructor_or_validate_rejects_or_it_round_trips(self, args):
         round_trip_outcome(lambda: build_document(*args))
 
@@ -1006,7 +1008,8 @@ class TestValidatedDocumentsRoundTrip:
 
 class TestHugeDimensions:
     """An image dimension too large for a float is named when a box must be
-    compared with it, and harmless on a page without lines."""
+    compared with it, and harmless on a page without lines; one with more
+    digits than JSON output can write is named always."""
 
     @pytest.mark.parametrize("key", ["image_width", "image_height"])
     def test_rejected_with_its_name_when_the_document_has_lines(self, key):
@@ -1016,6 +1019,14 @@ class TestHugeDimensions:
         with pytest.raises(DocumentError) as validated:
             validate_document(doc)
         assert parsed.value.reason == validated.value.reason == f"{key!r} is too large for a float"
+
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["positive", "negative"])
+    @pytest.mark.parametrize("key", ["image_width", "image_height"])
+    def test_more_digits_than_json_output_rejected_with_its_name(self, key, value):
+        doc = Document(**{"image_width": 100, "image_height": 100, key: value})
+        with pytest.raises(DocumentError) as err:
+            validate_document(doc)
+        assert err.value.reason == f"{key!r} has too many digits to write"
 
     @pytest.mark.parametrize("key", ["image_width", "image_height"])
     def test_accepted_without_lines(self, key):
