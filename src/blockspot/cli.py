@@ -21,9 +21,11 @@ effective configuration so runs can be reproduced.
 Exit codes: 0 success, 2 unreadable or invalid input (including an output
 path that cannot be written, and ``order --outcomes`` naming the ``--out``
 file) and a block that violated an ordering invariant (``PipelineError``),
-3 backend configuration errors (also a bad endpoint or key) and refused
-requests (rejected credentials, an HTTP status other than 200 and the
-retried ones).  A run that fails leaves no output file.
+3 backend configuration errors (also a bad endpoint or key, a config,
+scripted replies or replay file that ``model.read_json`` cannot read or
+decode, and a replay transcript with no entries) and refused requests
+(rejected credentials, an HTTP status other than 200 and the retried
+ones).  A run that fails leaves no output file.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .llm import (
     ReplayBackend,
     ScriptedBackend,
 )
-from .model import DocumentError, DocumentKind, load_document, serialize_document
+from .model import DocumentError, DocumentKind, load_document, read_json, serialize_document
 from .pipeline import PipelineError, build_block_prompt, run
 
 EXIT_OK = 0
@@ -108,14 +110,9 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
     values = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            data = json.loads(Path(config_path).read_text("utf-8"))
-        except OSError as e:
-            raise BackendConfigError(f"cannot read config file: {e}") from e
-        except ValueError as e:
-            raise BackendConfigError(f"config file is not valid JSON: {e}") from e
+        data = read_json(config_path, BackendConfigError, "config file")
         if not isinstance(data, dict):
-            raise BackendConfigError("config file must hold a JSON object")
+            raise BackendConfigError(f"{config_path}: config file must hold a JSON object")
         for key, value in data.items():
             if key not in types:
                 raise BackendConfigError(f"unknown config key {key!r}")
@@ -166,9 +163,12 @@ def _make_backend(settings: Settings) -> LlmBackend | None:
         if not arg or not Path(arg).is_file():
             raise BackendConfigError(f"replay transcript not found: {arg or '(missing path)'}")
         try:
-            return ReplayBackend(arg)
+            backend = ReplayBackend(arg)
         except LlmRequestError as e:
             raise BackendConfigError(str(e)) from e
+        if not backend.entries:  # a recording that sent nothing writes no file at all
+            raise BackendConfigError(f"replay transcript holds no entries: {arg}")
+        return backend
     raise BackendConfigError(f"unknown backend kind {settings.backend!r}")
 
 

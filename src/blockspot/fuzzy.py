@@ -9,10 +9,12 @@ search pass over the reversed strings gives the best distance for every
 start, and one anchored pass (Hyyrö 2003) from the smallest winning start
 gives the shortest winning end.  For a query of 12 or more characters a
 pigeonhole filter first finds the query's pieces with ``str.find`` and
-runs the DP over the corpus window they allow, falling back to the whole
-corpus when the window's answer is too far to be trusted.  Every path
-gives the same result as literally enumerating all substrings; the DP
-takes O(len(text)) big-integer steps per pass.
+runs the DP over the corpus window they allow.  When that window's answer
+is too far to be trusted, its distance ``k'`` sets a second cut into
+``k' + 1`` pieces, whose window always holds the answer; the whole corpus
+is scanned only when no piece occurs or ``k'`` is not below the query's
+length.  Every path gives the same result as literally enumerating all
+substrings; the DP takes O(len(text)) big-integer steps per pass.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def _edit_row(pattern: str, text: str, free_start: bool) -> list[int]:
     distance to any suffix of ``text[:j]``.  Column deltas are kept as
     bit-vectors (bit i for pattern row i+1): ``pv``/``mv`` mark vertical
     +1/-1 steps, ``ph``/``mh`` horizontal ones, and the last row's value
-    follows the high bit.
+    follows the high bit.  Each column is Hyyrö's (2003) step, with the
+    vertical and horizontal carries ``xv``/``xh`` kept apart.
     """
     m = len(pattern)
     if not m:  # only levenshtein passes an empty pattern, never with free_start
@@ -60,18 +63,18 @@ def _edit_row(pattern: str, text: str, free_start: bool) -> list[int]:
     append = row.append
     get = peq.get
     for c in text:
-        x = get(c, 0) | mv
-        d0 = (((x & pv) + pv) ^ pv) | x
-        ph = mv | ~(d0 | pv)
-        mh = d0 & pv
+        eq = get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
         if ph & high:
             score += 1
         elif mh & high:
             score -= 1
         ph = (ph << 1) | carry
-        mh <<= 1
-        pv = (mh | ~(d0 | ph)) & mask
-        mv = ph & d0 & mask
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv  # xv never exceeds mask
         append(score)
     return row
 
@@ -117,14 +120,20 @@ def best_fuzzy_substring(query: str, corpus: str) -> MatchResult:
     over the one window spanning all those starts; its answer stands if it
     is within ``k`` edits, since every such substring, and so every winner
     and the tie-break, lies inside the window, or if the window is the
-    whole corpus.  In every other case the DP runs over the whole corpus.
+    whole corpus.  Otherwise the window still holds a substring at its
+    distance ``k'``, so every winner is within ``k'`` edits: the query is
+    cut again into ``p = k' + 1`` pieces with ``k = k'``, and that second
+    window's answer always stands.  Only a query shorter than
+    ``2 * _PIECE``, one none of whose pieces occurs, or one with
+    ``k' + 1`` pieces more than its characters is searched over the whole
+    corpus.
     """
     start = corpus.find(query)  # 0 for an empty query
     if start >= 0:
         return MatchResult(query, start, start + len(query), 0)
     m = len(query)
     p = m // _PIECE
-    if p > 1:
+    while 1 < p <= m:
         k = p - 1
         starts = []
         for i in range(p):
@@ -133,13 +142,15 @@ def best_fuzzy_substring(query: str, corpus: str) -> MatchResult:
             hit = corpus.find(piece)
             if hit >= 0:
                 starts += (hit - offset, corpus.rfind(piece) - offset)
-        if starts:
-            base = max(min(starts) - k, 0)
-            window = corpus[base : max(starts) + m + 2 * k]
-            start, end, distance = _search(query, window)
-            if distance <= k or len(window) == len(corpus):
-                start += base
-                end += base
-                return MatchResult(corpus[start:end], start, end, distance)
+        if not starts:
+            break
+        base = max(min(starts) - k, 0)
+        window = corpus[base : max(starts) + m + 2 * k]
+        start, end, distance = _search(query, window)
+        if distance <= k or len(window) == len(corpus):
+            start += base
+            end += base
+            return MatchResult(corpus[start:end], start, end, distance)
+        p = distance + 1  # every winner is within `distance` edits
     start, end, distance = _search(query, corpus)
     return MatchResult(corpus[start:end], start, end, distance)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Protocol
 
-from .model import LONE_SURROGATE
+from .model import LONE_SURROGATE, read_json
 from .prompting import ChatPrompt
 
 if TYPE_CHECKING:
@@ -226,10 +226,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScriptedBackend":
-        try:
-            data = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, ValueError) as e:  # UnicodeDecodeError is a ValueError
-            raise LlmRequestError(f"{path}: cannot read scripted replies: {e}") from e
+        data = read_json(path, LlmRequestError, "scripted replies")
         if not isinstance(data, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in data.items()
         ):
@@ -258,35 +255,26 @@ class ReplayBackend:
     """Replays a recorded transcript.
 
     Each line is a JSON object ``{key, prompt_hash, reply, finish_reason}``;
-    a line without ``finish_reason`` replays as ``complete``.
+    a line without ``finish_reason`` replays as ``complete``.  ``entries``
+    maps each ``(key, prompt_hash)`` to its reply.
     """
 
     def __init__(self, path: str | Path):
-        self._entries: dict[tuple[str, str], LlmReply] = {}
-        path = Path(path)
-        try:
-            transcript = path.read_text("utf-8")
-        except (OSError, UnicodeDecodeError) as e:
-            raise LlmRequestError(f"{path}: cannot read transcript: {e}") from e
-        # split on "\n" only: replies may hold U+0085 or U+2028, which
-        # json.dumps leaves unescaped and str.splitlines would split on
-        for ln, raw in enumerate(transcript.split("\n"), 1):
-            if not raw.strip():
-                continue
+        self.entries: dict[tuple[str, str], LlmReply] = {}
+        for ln, entry in read_json(path, LlmRequestError, "transcript", lines=True):
             try:
-                entry = json.loads(raw)
                 text = entry["reply"]
                 if not isinstance(text, str):
                     raise TypeError(f"reply must be a string, got {text!r}")
                 reply = LlmReply(text, FinishReason(entry.get("finish_reason", "complete")))
-                self._entries[(entry["key"], entry["prompt_hash"])] = reply
+                self.entries[(entry["key"], entry["prompt_hash"])] = reply
             except (ValueError, KeyError, TypeError) as e:
                 raise LlmRequestError(f"{path}:{ln}: bad transcript line: {e}") from e
 
     def send(self, prompt: ChatPrompt, config: LlmConfig, key: str) -> LlmReply:
         fingerprint = prompt_fingerprint(prompt)
         try:
-            return self._entries[(key, fingerprint)]
+            return self.entries[(key, fingerprint)]
         except KeyError:
             raise LlmRequestError(
                 f"transcript has no entry for key {key!r} with this prompt"

@@ -5,7 +5,8 @@ Three classic measures over unicode code points:
 * normalized Levenshtein distance (edit distance / longer length, lower is
   better),
 * Jaro-Winkler similarity (canonical parameters: prefix scale 0.1, prefix
-  length capped at 4; the prefix boost is always applied),
+  length capped at 4; the prefix boost is always applied; the Jaro matches
+  are found bit-parallel, with one bitmask of positions per character),
 * Ratcliff-Obershelp similarity (gestalt pattern matching: recursive
   leftmost-longest common substring decomposition, found with ``str.find``;
   the same floats as ``difflib.SequenceMatcher`` with ``autojunk=False``).
@@ -14,6 +15,8 @@ Three classic measures over unicode code points:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from os.path import commonprefix
 
 from .fuzzy import MatchResult, levenshtein
@@ -54,7 +57,12 @@ def normalized_levenshtein(a: str, b: str) -> float:
 
 def jaro(a: str, b: str) -> float:
     """Jaro similarity with the standard match window floor(max/2) - 1; each
-    character of ``a`` takes the first unmatched equal one of ``b`` in its window."""
+    character of ``a`` takes the first unmatched equal one of ``b`` in its window.
+
+    The matching is bit-parallel: ``peq[c]`` has bit j set where ``b[j] == c``,
+    ``free`` marks the positions of ``b`` not yet matched, and the lowest bit
+    of their intersection with the window is the first such character.
+    """
     if a == b:
         return 1.0
     la, lb = len(a), len(b)
@@ -62,22 +70,27 @@ def jaro(a: str, b: str) -> float:
         return 0.0
 
     window = max(max(la, lb) // 2 - 1, 0)
-    unmatched: list[str | None] = list(b)
+    span = (1 << (2 * window + 1)) - 1  # the window of a[window], shifted for each i
+    peq: dict[str, int] = {}
+    get = peq.get
+    for j, cb in enumerate(b):
+        peq[cb] = get(cb, 0) | 1 << j
+    every = free = (1 << lb) - 1
     a_matches = []
     for i, ca in enumerate(a):
-        try:
-            j = unmatched.index(ca, max(0, i - window), i + window + 1)
-        except ValueError:
-            continue
-        unmatched[j] = None
-        a_matches.append(ca)
+        lo = i - window
+        hits = get(ca, 0) & free & (span << lo if lo > 0 else span >> -lo)
+        if hits:
+            free ^= hits & -hits
+            a_matches.append(ca)
     m = len(a_matches)
     if m == 0:
         return 0.0
 
     # transpositions: matched characters compared in order of appearance
-    b_matches = [cb for cb, u in zip(b, unmatched) if u is None]
-    t = sum(ca != cb for ca, cb in zip(a_matches, b_matches)) / 2
+    used = bin(every ^ free)[:1:-1]  # digit j is 1 where b[j] matched
+    b_matches = compress(b, map(int, used))
+    t = sum(map(ne, a_matches, b_matches)) / 2
     return (m / la + m / lb + (m - t) / m) / 3
 
 

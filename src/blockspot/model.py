@@ -27,7 +27,8 @@ dimensions, unique line ids, boxes on the page, block ids and block texts.
 ``parse_document`` only maps JSON onto those constructors and validates, so
 a document that passes ``validate_document`` round-trips through
 ``serialize_document``.  Documents are immutable and safe to share between
-workers.
+workers.  ``read_json`` reads the other JSON files a run takes (config,
+scripted replies, replay transcripts) with one set of failure rules.
 """
 
 from __future__ import annotations
@@ -330,6 +331,32 @@ def load_document(path: str | Path, kind: DocumentKind | str = DocumentKind.PRED
     except OSError as e:
         raise DocumentError(f"cannot read file: {e}", source=str(path)) from e
     return parse_document(raw, kind, source=str(path))
+
+
+def read_json(path: str | Path, error: type[Exception], what: str, *, lines: bool = False) -> Any:
+    """The JSON value in the UTF-8 file at ``path``; with ``lines``, a list of
+    ``(line number, value)`` for each non-blank line.
+
+    Lines are split on ``"\\n"`` only: JSON strings may hold U+0085 or
+    U+2028, which ``json.dumps`` leaves unescaped and ``str.splitlines``
+    would split on.  Every way the read or the decode fails (``OSError``,
+    ``UnicodeDecodeError``, ``ValueError`` such as an over-long integer,
+    and ``RecursionError`` from deep nesting) raises ``error``, with a
+    message that names the file (and the line) and the ``what`` it held.
+    """
+    ln = 0
+    try:
+        text = Path(path).read_text("utf-8")
+        if not lines:
+            return json.loads(text)
+        values = []
+        for ln, raw in enumerate(text.split("\n"), 1):
+            if raw.strip():
+                values.append((ln, json.loads(raw)))
+        return values
+    except (OSError, ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        where = f"{path}:{ln}" if ln else path
+        raise error(f"{where}: cannot read {what}: {e}") from e
 
 
 def serialize_document(doc: Document) -> bytes:

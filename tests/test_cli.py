@@ -433,6 +433,52 @@ class TestBadPaths:
         assert list(out.parent.iterdir()) == []
 
 
+# bad contents for every JSON file that configures a run
+BAD_JSON_FILES = {
+    "deep-array": b"[" * 100_000,
+    "deep-object": b'{"a":' * 100_000,
+    "non-utf8": b'{"block-0": "\xe9"}',
+    "wrong-type": b"[1]",
+    "empty": b"",
+}
+# argv reading the file {bad}; each writes {out} when it succeeds
+JSON_READERS = {
+    "order-config": ["order", "{doc}", "--out", "{out}", "--config", "{bad}"],
+    "eval-config": ["eval", "{doc}", "{doc}", "--out", "{out}", "--config", "{bad}"],
+    "scripted": ["order", "{doc}", "--out", "{out}", "--backend", "scripted:{bad}"],
+    "replay": ["order", "{doc}", "--out", "{out}", "--backend", "replay:{bad}"],
+}
+
+
+class TestBadJsonFiles:
+    """Config, scripted replies and replay transcripts go through one reader:
+    any file it cannot decode, or that decodes to the wrong shape, is a
+    backend configuration error, never a traceback."""
+
+    @pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
+    @pytest.mark.parametrize("argv", JSON_READERS.values(), ids=JSON_READERS.keys())
+    def test_exits_3_without_output(self, tmp_path, sign_fixture, capsys, argv, content):
+        doc_path, _ = sign_fixture
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out" / "o.json"
+        out.parent.mkdir()
+        argv = [a.format(doc=doc_path, out=out, bad=bad) for a in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(bad) in err
+        assert list(out.parent.iterdir()) == []
+
+    def test_bad_transcript_line_is_named(self, tmp_path, sign_fixture, capsys):
+        doc_path, _ = sign_fixture
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_bytes(b"\n\n" + b"[" * 100_000 + b"\n")
+        argv = ["order", str(doc_path), "--out", str(tmp_path / "o.json"), "--backend", f"replay:{transcript}"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: {transcript}:3: cannot read transcript: ")
+
+
 class TestPrompt:
     def test_prompt_contains_texts_verbatim(self, tmp_path, sign_fixture, capsys):
         doc_path, _ = sign_fixture

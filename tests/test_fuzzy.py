@@ -5,9 +5,10 @@ truth here: ``enumerate_best`` literally scores every substring, and
 ``exact_best`` derives the same answer from a reversed semi-global pass
 plus one anchored row of the plain DP, fast enough for long corpora.
 ``best_fuzzy_substring`` answers an exact occurrence with ``str.find`` and
-otherwise runs the same two passes bit-parallel, over a pigeonhole window
-of the corpus or over all of it; every path must match them exactly,
-tie-break included.  ``levenshtein`` must equal the plain DP's anchored row.
+otherwise runs the same two passes bit-parallel, over one or two
+pigeonhole windows of the corpus or over all of it; every path must match
+them exactly, tie-break included.  ``levenshtein`` must equal the plain
+DP's anchored row.
 """
 
 from __future__ import annotations
@@ -310,8 +311,10 @@ class TestExactOccurrence:
 
 def traced_search(query: str, corpus: str) -> tuple[MatchResult, list[int]]:
     """The search's result and the length of the text each of its search
-    (free-start) passes scanned: none for an exact occurrence, one shorter
-    than the corpus for an accepted window, the whole corpus last otherwise."""
+    (free-start) passes scanned: none for an exact occurrence, one for an
+    accepted first window or a search of the whole corpus, and two when the
+    first window is rejected: a second window, which is the whole corpus
+    when its pieces hit far apart or the query is too far for them."""
     with mock.patch.object(fuzzy, "_edit_row", wraps=fuzzy._edit_row) as spy:
         result = best_fuzzy_substring(query, corpus)
     return result, [len(c.args[1]) for c in spy.call_args_list if c.kwargs["free_start"]]
@@ -322,21 +325,30 @@ def search_path(lengths: list[int], corpus: str) -> str:
         return "exact"
     if lengths == [len(corpus)]:
         return "full"
-    return "window" if len(lengths) == 1 else "fallback"
+    if len(lengths) == 1:
+        return "window"
+    return "fallback" if lengths[-1] == len(corpus) else "second window"
 
 
-def _planted_pairs() -> tuple[tuple[str, str], tuple[str, str]]:
-    """A 60-character slice of a 600-character corpus (10 pieces, k = 9),
-    once with 2 substitutions and once with only its first piece intact."""
+# 12 positions of a 60-character slice, one in each of its first nine
+# 6-character pieces and none in the last
+SECOND_CUT_EDITS = (1, 3, 7, 13, 19, 21, 25, 31, 37, 43, 47, 49)
+
+
+def _planted_pairs() -> tuple[tuple[str, str], ...]:
+    """A 60-character slice of a 600-character corpus (10 pieces, k = 9):
+    with 2 substitutions, with 12 that leave only its last piece intact,
+    and with only its first piece intact."""
     rng = random.Random(46)
     corpus = normal_string(rng, 600)
     piece = corpus[300:360]
     near = piece[:20] + "#" + piece[21:40] + "#" + piece[41:]
+    second = "".join("#" if i in SECOND_CUT_EDITS else c for i, c in enumerate(piece))
     far = piece[:6] + "#" * 54
-    return (near, corpus), (far, corpus)
+    return (near, corpus), (second, corpus), (far, corpus)
 
 
-NEAR_PAIR, FAR_PAIR = _planted_pairs()
+NEAR_PAIR, SECOND_PAIR, FAR_PAIR = _planted_pairs()
 
 
 @st.composite
@@ -362,6 +374,7 @@ class TestPigeonholeFilter:
 
     @given(corrupted_slice())
     @example(NEAR_PAIR)
+    @example(SECOND_PAIR)
     @example(FAR_PAIR)
     @settings(max_examples=300, deadline=None)
     def test_every_path_matches_oracle(self, pair):
@@ -379,6 +392,15 @@ class TestPigeonholeFilter:
         # every piece hits only there: k before the slice, and m + 2k from it
         assert lengths[0] == len(query) + 3 * 9 < len(corpus)
         assert got == MatchResult(corpus[300:360], 300, 360, 2)
+
+    def test_second_pair_searches_a_second_window(self):
+        query, corpus = SECOND_PAIR
+        got, lengths = traced_search(query, corpus)
+        assert search_path(lengths, corpus) == "second window"
+        # the first window's 12 edits exceed k = 9; 13 pieces then cut again
+        assert len(lengths) == 2 and max(lengths) < len(corpus)
+        assert got == MatchResult(corpus[300:360], 300, 360, 12)
+        assert got == exact_best(query, corpus)
 
     def test_far_pair_falls_back_to_the_whole_corpus(self):
         query, corpus = FAR_PAIR
@@ -403,4 +425,4 @@ class TestPigeonholeFilter:
             got, lengths = traced_search(query, corpus)
             seen.add(search_path(lengths, corpus))
             assert got == exact_best(query, corpus), (query, corpus)
-        assert {"window", "fallback"} <= seen
+        assert {"window", "second window", "fallback"} <= seen

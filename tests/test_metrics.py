@@ -3,12 +3,12 @@
 The Jaro-Winkler reference below is written from the definition with a
 different structure (explicit match lists).  ``jaro_window_loop`` and
 ``winkler_prefix_loop`` are the library's former window-scanning Jaro and
-prefix loop, kept as a second reference that the library must equal bit
-for bit.  The library computes Ratcliff-Obershelp by growing each
-leftmost-longest match with ``str.find``; its references here are a direct
-leftmost-longest common substring decomposition and difflib's
-``SequenceMatcher`` without autojunk, which must both give the same float
-bit for bit.
+prefix loop, and ``jaro_index_loop`` its former ``list.index`` Jaro; the
+library's bit-parallel Jaro must equal both bit for bit.  The library
+computes Ratcliff-Obershelp by growing each leftmost-longest match with
+``str.find``; its references here are a direct leftmost-longest common
+substring decomposition and difflib's ``SequenceMatcher`` without
+autojunk, which must both give the same float bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockspot.fuzzy import best_fuzzy_substring
@@ -101,6 +101,35 @@ def jaro_window_loop(a: str, b: str) -> float:
     t = transpositions / 2
 
     m = matches
+    return (m / la + m / lb + (m - t) / m) / 3
+
+
+def jaro_index_loop(a: str, b: str) -> float:
+    """Jaro whose matching finds each window's first unmatched equal
+    character with ``list.index``."""
+    if a == b:
+        return 1.0
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return 0.0
+
+    window = max(max(la, lb) // 2 - 1, 0)
+    unmatched: list[str | None] = list(b)
+    a_matches = []
+    for i, ca in enumerate(a):
+        try:
+            j = unmatched.index(ca, max(0, i - window), i + window + 1)
+        except ValueError:
+            continue
+        unmatched[j] = None
+        a_matches.append(ca)
+    m = len(a_matches)
+    if m == 0:
+        return 0.0
+
+    # transpositions: matched characters compared in order of appearance
+    b_matches = [cb for cb, u in zip(b, unmatched) if u is None]
+    t = sum(ca != cb for ca, cb in zip(a_matches, b_matches)) / 2
     return (m / la + m / lb + (m - t) / m) / 3
 
 
@@ -250,6 +279,52 @@ class TestJaroWinkler:
         a, b = pair
         assert jaro(a, b) == jaro_window_loop(a, b)
         assert jaro_winkler(a, b) == winkler_prefix_loop(a, b)
+
+
+# two letters crowd every window with equal candidates; the third alphabet
+# mixes astral and combining code points
+JARO_ALPHABETS = ("ab", ALPHABET, "e\u0301\U0001f600\U00010348 \u0308")
+
+
+@st.composite
+def jaro_pair(draw) -> tuple[str, str]:
+    """Two strings over one alphabet: both of 3 characters or fewer (window
+    0), one side empty, one far longer than the other, or any lengths up to
+    200 (windows beyond one 64-bit word)."""
+    alphabet = draw(st.sampled_from(JARO_ALPHABETS))
+    short = st.text(alphabet=alphabet, max_size=3)
+    long = st.text(alphabet=alphabet, min_size=65, max_size=200)
+    any_size = st.text(alphabet=alphabet, max_size=200)
+    a, b = draw(
+        st.one_of(
+            st.tuples(short, short),
+            st.tuples(st.just(""), any_size),
+            st.tuples(long, short),
+            st.tuples(long, any_size),
+            st.tuples(any_size, any_size),
+        )
+    )
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestBitParallelJaro:
+    """``jaro`` against the ``list.index`` matching it replaced, with ``==``."""
+
+    @given(jaro_pair())
+    @example(("", "abc"))
+    @example(("abc", ""))
+    @example(("ab", "ba"))
+    @example(("e\u0301", "\u0301e"))
+    @example(("\U0001f600" * 3, "\U0001f600a"))
+    @example(("a" * 130 + "b", "b" + "a" * 70))
+    @example(("ab" * 100, "b"))
+    @example(("b", "ab" * 100))
+    @example(("abcdef", "fedcba"))  # windows cut off at both ends of b
+    @example(("a" * 70, "b" * 69 + "a"))
+    @settings(max_examples=500, deadline=None)
+    def test_equal_to_index_loop(self, pair):
+        a, b = pair
+        assert jaro(a, b) == jaro_index_loop(a, b)
 
 
 class TestRatcliffObershelp:
