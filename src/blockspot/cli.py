@@ -18,14 +18,16 @@ their defaults and their range checks are :class:`LlmConfig`'s; both
 commands build one, so both reject the same file.  Every report embeds the
 effective configuration so runs can be reproduced.
 
-Exit codes: 0 success, 2 unreadable or invalid input (including an output
-path that cannot be written, and ``order --outcomes`` naming the ``--out``
-file) and a block that violated an ordering invariant (``PipelineError``),
-3 backend configuration errors (also a bad endpoint or key, a config,
-scripted replies or replay file that ``model.read_json`` cannot read or
-decode, and a replay transcript with no entries) and refused requests
-(rejected credentials, an HTTP status other than 200 and the retried
-ones).  A run that fails leaves no output file.
+Every file argument may be a pipe such as ``<(...)``.  Exit codes: 0
+success, 2 unreadable or invalid input (including an output path that
+cannot be written, and ``order --outcomes`` naming the ``--out`` file) and
+a block that violated an ordering invariant (``PipelineError``), 3 backend
+configuration errors (also a bad endpoint or key, a config, scripted
+replies or replay file that ``model.read_json`` cannot read or decode, a
+missing one included, and a replay transcript with no entries) and refused
+requests (rejected credentials, an HTTP status other than 200 and the
+retried ones): ``main`` maps every ``LlmError`` that reaches it to 3.  A
+run that fails leaves no output file.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .llm import (
     HttpBackend,
     LlmBackend,
     LlmConfig,
-    LlmRefusedError,
-    LlmRequestError,
+    LlmError,
     ReplayBackend,
     ScriptedBackend,
 )
@@ -150,22 +151,12 @@ def _make_backend(settings: Settings) -> LlmBackend | None:
                 "http backend needs an API key; set BLOCKSPOT_API_KEY"
             )
         return HttpBackend()
+    if kind in ("scripted", "replay") and not arg:
+        raise BackendConfigError(f"{kind} backend needs a path: {kind}:FILE")
     if kind == "scripted":
-        if not arg:
-            raise BackendConfigError("scripted backend needs a path: scripted:replies.json")
-        if not Path(arg).is_file():
-            raise BackendConfigError(f"scripted replies file not found: {arg}")
-        try:
-            return ScriptedBackend.from_json(arg)
-        except LlmRequestError as e:
-            raise BackendConfigError(str(e)) from e
+        return ScriptedBackend.from_json(arg)
     if kind == "replay":
-        if not arg or not Path(arg).is_file():
-            raise BackendConfigError(f"replay transcript not found: {arg or '(missing path)'}")
-        try:
-            backend = ReplayBackend(arg)
-        except LlmRequestError as e:
-            raise BackendConfigError(str(e)) from e
+        backend = ReplayBackend(arg)
         if not backend.entries:  # a recording that sent nothing writes no file at all
             raise BackendConfigError(f"replay transcript holds no entries: {arg}")
         return backend
@@ -200,9 +191,12 @@ def cmd_order(args: argparse.Namespace) -> int:
             for o in outcomes
         ],
     }
+    # encoded before --out is written; backslashreplace writes a lone surrogate
+    # in a setting (such as argv bytes that are not UTF-8) as its JSON escape
+    outcomes_data = json.dumps(payload, ensure_ascii=False, indent=2).encode("utf-8", "backslashreplace")
     _write(out_path, serialize_document(out_doc) + b"\n")
     try:
-        _write(outcomes_path, (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode())
+        _write(outcomes_path, outcomes_data + b"\n")
     except InputError:
         out_path.unlink()
         raise
@@ -231,7 +225,7 @@ def _read_corpus(arg: str) -> str:
     """The text of the file ``arg`` names, or ``arg`` itself if it names none."""
     path = Path(arg)
     try:
-        if not path.is_file():
+        if not path.exists() or path.is_dir():  # a pipe such as <(...) is no regular file
             return arg
     except OSError:  # cannot be a path, e.g. too long for a file name
         return arg
@@ -316,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, InputError, PipelineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (BackendConfigError, LlmRefusedError) as e:
+    except (BackendConfigError, LlmError) as e:  # a refusal, or a backend file that cannot be loaded
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -23,12 +23,13 @@ Each rule has one home.  ``Quad`` checks a box and ``Quad.from_points`` the
 JSON coordinate types; ``Line(...)`` checks a line's id, text (no control
 character, no lone surrogate) and confidence; ``Block`` checks that its ids
 are there and distinct; ``validate_document`` checks the rest: image
-dimensions, unique line ids, boxes on the page, block ids and block texts.
-``parse_document`` only maps JSON onto those constructors and validates, so
-a document that passes ``validate_document`` round-trips through
-``serialize_document``.  Documents are immutable and safe to share between
-workers.  ``read_json`` reads the other JSON files a run takes (config,
-scripted replies, replay transcripts) with one set of failure rules.
+dimensions (positive integers no larger than the largest float), unique
+line ids, boxes on the page, block ids and block texts.  ``parse_document``
+only maps JSON onto those constructors and validates, so a document that
+passes ``validate_document`` round-trips through ``serialize_document``.
+Documents are immutable and safe to share between workers.  ``read_json``
+reads the other JSON files a run takes (config, scripted replies, replay
+transcripts) with one set of failure rules.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import enum
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -45,6 +47,9 @@ from typing import Any, Iterable, NamedTuple, Sequence
 from .geometry import AlignedRect
 
 BOX_MARGIN_PX = 5.0
+# A box bound is a float, so a page dimension must fit one too; it then has at
+# most 309 digits, and a box limit (dimension + margin) cannot overflow.
+_MAX_DIMENSION = int(sys.float_info.max)
 # exact JSON number types: bool is an int subclass, and float() takes "10" too
 _NUMBER = frozenset((int, float))
 
@@ -240,23 +245,10 @@ def validate_document(doc: Document, *, source: str = "<memory>") -> None:
     for key, value in (("image_width", doc.image_width), ("image_height", doc.image_height)):
         if type(value) is not int:  # a NaN width would pass every box bound check below
             raise DocumentError(_not_int(key, value), source=source)
-        try:
-            repr(value)  # what serialize_document writes, within the interpreter's digit limit
-        except ValueError:
-            raise DocumentError(f"{key!r} has too many digits to write", source=source) from None
-    if doc.image_width <= 0 or doc.image_height <= 0:
-        raise DocumentError(
-            f"image dimensions must be positive, got {doc.image_width}x{doc.image_height}",
-            source=source,
-        )
-    x_limit = y_limit = math.inf
-    if doc.lines:  # only a box needs the limits: a page without lines may be wider than a float
-        try:
-            x_limit = doc.image_width + BOX_MARGIN_PX
-            y_limit = doc.image_height + BOX_MARGIN_PX
-        except OverflowError:
-            key = "image_width" if x_limit == math.inf else "image_height"
-            raise DocumentError(f"{key!r} is too large for a float", source=source) from None
+        if not 0 < value <= _MAX_DIMENSION:
+            raise DocumentError(f"{key!r} must be a positive integer that fits a float", source=source)
+    x_limit = doc.image_width + BOX_MARGIN_PX
+    y_limit = doc.image_height + BOX_MARGIN_PX
     seen_ids: set[int] = set()
     for line_id, box, _, _ in doc.lines:
         if line_id in seen_ids:
@@ -312,12 +304,10 @@ def parse_document(
         doc = Document(
             image_width=data["image_width"],
             image_height=data["image_height"],
-            lines=tuple([_parse_line(obj, i, source) for i, obj in enumerate(_expect_list(data, "lines"))]),
-            blocks=tuple([_parse_block(obj, i, source) for i, obj in enumerate(_expect_list(data, "blocks"))]),
+            lines=tuple([_parse_line(obj, i) for i, obj in enumerate(_expect_list(data, "lines"))]),
+            blocks=tuple([_parse_block(obj, i) for i, obj in enumerate(_expect_list(data, "blocks"))]),
             is_ground_truth=kind is DocumentKind.GROUND_TRUTH,
         )
-    except DocumentError:
-        raise
     except (KeyError, ValueError) as e:
         raise DocumentError(str(e), source=source) from e
     validate_document(doc, source=source)
@@ -388,19 +378,19 @@ def _expect_list(data: dict, key: str) -> list:
     return v
 
 
-def _parse_line(obj: Any, index: int, source: str) -> Line:
+def _parse_line(obj: Any, index: int) -> Line:
     if not isinstance(obj, dict):
-        raise DocumentError(f"lines[{index}] must be an object", source=source)
+        raise ValueError(f"lines[{index}] must be an object")
     try:
         return Line(obj["id"], Quad.from_points(obj["vertices"]), obj.get("text", ""), obj.get("confidence"))
     except (KeyError, TypeError, ValueError, OverflowError) as e:  # overflow: coordinates beyond a float
-        raise DocumentError(f"lines[{index}]: {e}", source=source) from e
+        raise ValueError(f"lines[{index}]: {e}") from e
 
 
-def _parse_block(obj: Any, index: int, source: str) -> Block:
+def _parse_block(obj: Any, index: int) -> Block:
     if not isinstance(obj, dict):
-        raise DocumentError(f"blocks[{index}] must be an object", source=source)
+        raise ValueError(f"blocks[{index}] must be an object")
     try:
         return Block(tuple(_expect_list(obj, "line_ids")), obj.get("text"))
     except (KeyError, TypeError, ValueError) as e:  # TypeError: unhashable ids
-        raise DocumentError(f"blocks[{index}]: {e}", source=source) from e
+        raise ValueError(f"blocks[{index}]: {e}") from e

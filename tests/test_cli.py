@@ -19,8 +19,9 @@ from conftest import HOSTILE_DOCUMENTS, StubHandler, ok_reply, sign_doc, sign_gt
 import blockspot
 from blockspot import cli, pipeline
 from blockspot.cli import main
-from blockspot.llm import DEFAULT_ENDPOINT
+from blockspot.llm import DEFAULT_ENDPOINT, prompt_fingerprint
 from blockspot.model import save_document
+from blockspot.pipeline import build_block_prompt
 
 
 @pytest.fixture
@@ -68,11 +69,12 @@ class TestOrder:
 
     def test_missing_scripted_file_exits_3(self, tmp_path, sign_fixture, capsys):
         doc_path, _ = sign_fixture
-        code = main(
-            ["order", str(doc_path), "--backend", "scripted:/does/not/exist.json", "--out", str(tmp_path / "o.json")]
-        )
-        assert code == 3
-        assert "not found" in capsys.readouterr().err
+        for kind, what in (("scripted", "scripted replies"), ("replay", "transcript")):
+            code = main(
+                ["order", str(doc_path), "--backend", f"{kind}:/does/not/exist.json", "--out", str(tmp_path / "o.json")]
+            )
+            assert code == 3
+            assert capsys.readouterr().err.startswith(f"error: /does/not/exist.json: cannot read {what}: [Errno 2] ")
 
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json"], ids=["undecodable", "not-json"])
     def test_unreadable_scripted_file_exits_3_and_names_path(
@@ -142,6 +144,18 @@ class TestOrder:
         assert result["blocks"][0]["text"] == "TO LOVE CYCLING 20 REASONS"
         outcomes = json.loads(out.with_suffix(".outcomes.json").read_bytes().decode("utf-8"))
         assert outcomes["outcomes"][0]["strategy"] == "geometric_fallback_error"
+
+    def test_lone_surrogate_setting_is_echoed_as_its_escape(self, tmp_path, sign_fixture):
+        # argv bytes that are not UTF-8 arrive as lone surrogates; so can a config string
+        doc_path, _ = sign_fixture
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": "\ud800"}))
+        out = tmp_path / "o.json"
+        assert main(["order", str(doc_path), "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes().decode("utf-8"))["blocks"][0]["text"] == "TO LOVE CYCLING 20 REASONS"
+        outcomes = out.with_suffix(".outcomes.json").read_bytes()
+        assert b'"model": "\\ud800"' in outcomes
+        assert json.loads(outcomes.decode("utf-8"))["config"]["model"] == "\ud800"
 
     @pytest.mark.parametrize(
         ("key", "config_text"),
@@ -479,6 +493,53 @@ class TestBadJsonFiles:
         assert capsys.readouterr().err.startswith(f"error: {transcript}:3: cannot read transcript: ")
 
 
+def _replay_transcript() -> str:
+    """A transcript that serves the sign's one block, as a live run recorded it."""
+    doc = sign_doc()
+    prompt = build_block_prompt(doc, doc.blocks[0])
+    entry = {"key": "block-0", "prompt_hash": prompt_fingerprint(prompt), "reply": "20 REASONS TO LOVE CYCLING"}
+    return json.dumps(entry) + "\n"
+
+
+# argv with one file argument read from {pipe}, and what a run that read it prints
+PIPE_READERS = {
+    "order-input": (["order", "{pipe}", "--out", "{out}"], "document", "geometric_only: 1"),
+    "eval-pred": (["eval", "{pipe}", "{gt}"], "gt", "matched pairs: 1 "),
+    "eval-gt": (["eval", "{gt}", "{pipe}"], "gt", "matched pairs: 1 "),
+    "config": (["order", "{doc}", "--out", "{out}", "--config", "{pipe}"], "config", "llm: 1"),
+    "scripted": (["order", "{doc}", "--out", "{out}", "--backend", "scripted:{pipe}"], "replies", "llm: 1"),
+    "replay": (["order", "{doc}", "--out", "{out}", "--backend", "replay:{pipe}"], "transcript", "llm: 1"),
+    "fuzzy-corpus": (["fuzzy", "CYCLNG", "{pipe}"], "corpus", '"distance": 1'),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this system")
+@pytest.mark.parametrize(("argv", "content", "printed"), PIPE_READERS.values(), ids=PIPE_READERS.keys())
+def test_every_file_argument_reads_a_pipe(tmp_path, sign_fixture, capsys, argv, content, printed):
+    """``<(...)`` passes a pipe as ``/dev/fd/N``: no regular file, read once."""
+    doc_path, replies = sign_fixture
+    gt_path = tmp_path / "gt.json"
+    save_document(sign_gt(), gt_path)
+    contents = {
+        "document": doc_path.read_text(),
+        "gt": gt_path.read_text(),
+        "config": json.dumps({"backend": f"scripted:{replies}"}),
+        "replies": replies.read_text(),
+        "transcript": _replay_transcript(),
+        "corpus": "20 REASONS TO LOVE CYCLING\n",
+    }
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, contents[content].encode("utf-8"))
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        argv = [a.format(pipe=pipe, doc=doc_path, gt=gt_path, out=tmp_path / "o.json") for a in argv]
+        assert main(argv) == 0
+    finally:
+        os.close(read_end)
+    assert printed in capsys.readouterr().out
+
+
 class TestPrompt:
     def test_prompt_contains_texts_verbatim(self, tmp_path, sign_fixture, capsys):
         doc_path, _ = sign_fixture
@@ -674,6 +735,7 @@ FUZZ_NUMBERS = ["0", "1", "-1", "-99999999999", "9" * 30, "nan", "inf", "-inf", 
 FUZZ_INPUTS = [
     "{tmp}/pred.json", "{tmp}/gt.json", "{tmp}/hostile.json", "{tmp}/broken.json", "{tmp}/latin1.json",
     "{tmp}/empty.json", "{tmp}/missing.json", "{tmp}/nodir/x.json", "{tmp}", ".", "",
+    "{tmp}/nan-width.json", "{tmp}/long-width.json",
 ]
 FUZZ_OUTPUTS = ["{out}/o.json", "{out}/r.json", "{tmp}/nodir/o.json", "{out}", ".", "/", ""]
 FUZZ_CONFIG_PATHS = [f"{{tmp}}/cfg-{name}.json" for name in FUZZ_CONFIGS] + ["{tmp}/missing.json", "{tmp}"]
@@ -694,6 +756,9 @@ def fuzz_dir(tmp_path_factory):
     (tmp / "broken.json").write_text("{not json")
     (tmp / "latin1.json").write_bytes(b'{"text": "\xe9"}')
     (tmp / "empty.json").write_text("")
+    template = json.dumps({**json.loads((tmp / "pred.json").read_text()), "image_width": "WIDTH"})
+    (tmp / "nan-width.json").write_text(template.replace('"WIDTH"', "NaN"))
+    (tmp / "long-width.json").write_text(template.replace('"WIDTH"', "9" * 5000))
     (tmp / "replies.json").write_text(json.dumps({"block-0": "20 REASONS TO LOVE CYCLING"}))
     for name, text in FUZZ_CONFIGS.items():
         (tmp / f"cfg-{name}.json").write_text(text)
@@ -723,7 +788,7 @@ def cli_argv(draw) -> list[str]:
         argv += ["--out", draw(_often("{out}/o.json", FUZZ_OUTPUTS))]
         argv += _options(draw, {
             "--backend": FUZZ_BACKENDS,
-            "--model": ["m", ""],
+            "--model": ["m", "", "\udcff"],
             "--max-context-tokens": FUZZ_NUMBERS,
             "--max-output-tokens": FUZZ_NUMBERS,
             "--outcomes": FUZZ_OUTPUTS,

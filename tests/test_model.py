@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
@@ -51,6 +52,11 @@ def doc_dict(**overrides):
 
 def parse(data, kind=DocumentKind.PREDICTION):
     return parse_document(json.dumps(data), kind)
+
+
+# the largest image dimension: a box bound is a float, so a dimension must fit one
+_MAX_DIMENSION = int(sys.float_info.max)
+NO_LINES = {"lines": [], "blocks": []}
 
 
 # Reference quad validator in four passes: shoelace area for the flip,
@@ -217,7 +223,7 @@ class TestParse:
         assert shoelace_area(doc.lines[0].box.vertices) > 0
 
     def test_nonpositive_dims_rejected(self):
-        with pytest.raises(DocumentError, match="dimensions"):
+        with pytest.raises(DocumentError, match="'image_width' must be a positive integer that fits a float"):
             parse(doc_dict(image_width=0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, True, 100.0], ids=["nan", "inf", "bool", "float"])
@@ -577,8 +583,8 @@ def reference_parse(raw: str):
     lines = tuple(reference_line(obj) for obj in data["lines"])
     blocks = tuple(reference_block(obj) for obj in data["blocks"])
     # validate_document
-    if width <= 0 or height <= 0:
-        raise ValueError("image dimensions must be positive")
+    if not (0 < width <= _MAX_DIMENSION and 0 < height <= _MAX_DIMENSION):
+        raise ValueError("image dimensions must be positive integers that fit a float")
     seen_ids = set()
     for line_id, _, rect, _, _ in lines:
         if line_id in seen_ids:
@@ -1007,29 +1013,31 @@ class TestValidatedDocumentsRoundTrip:
 
 
 class TestHugeDimensions:
-    """An image dimension too large for a float is named when a box must be
-    compared with it, and harmless on a page without lines; one with more
-    digits than JSON output can write is named always."""
+    """One rule for each image dimension: a positive integer no larger than the
+    largest float, on a page with or without lines; the error names the field."""
 
-    @pytest.mark.parametrize("key", ["image_width", "image_height"])
-    def test_rejected_with_its_name_when_the_document_has_lines(self, key):
-        with pytest.raises(DocumentError) as parsed:
-            parse(doc_dict(**{key: 10**400}))
-        doc = Document(**{"image_width": 100, "image_height": 100, key: 10**400, "lines": (Line(1, _box(0)),)})
+    @pytest.mark.parametrize("lines", [True, False], ids=["lines", "bare"])
+    @pytest.mark.parametrize(
+        "value",
+        [0, -1, _MAX_DIMENSION + 1, 10**400, 10**5000, -(10**5000)],
+        ids=["0", "-1", "max+1", "1e400", "1e5000", "neg-1e5000"],
+    )
+    @pytest.mark.parametrize("key", ["image_width", "image_height"], ids=["width", "height"])
+    def test_out_of_range_is_named(self, key, value, lines):
+        reason = f"{key!r} must be a positive integer that fits a float"
+        line = (Line(1, _box(0)),) if lines else ()
+        doc = Document(**{"image_width": 100, "image_height": 100, key: value, "lines": line})
         with pytest.raises(DocumentError) as validated:
             validate_document(doc)
-        assert parsed.value.reason == validated.value.reason == f"{key!r} is too large for a float"
+        assert validated.value.reason == reason
+        if abs(value) <= 10**400:  # 5,000 digits are more than json.dumps can write
+            with pytest.raises(DocumentError) as parsed:
+                parse(doc_dict(**{key: value}, **({} if lines else NO_LINES)))
+            assert parsed.value.reason == reason
 
-    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["positive", "negative"])
-    @pytest.mark.parametrize("key", ["image_width", "image_height"])
-    def test_more_digits_than_json_output_rejected_with_its_name(self, key, value):
-        doc = Document(**{"image_width": 100, "image_height": 100, key: value})
-        with pytest.raises(DocumentError) as err:
-            validate_document(doc)
-        assert err.value.reason == f"{key!r} has too many digits to write"
-
-    @pytest.mark.parametrize("key", ["image_width", "image_height"])
-    def test_accepted_without_lines(self, key):
-        doc = parse(doc_dict(**{key: 10**400, "lines": [], "blocks": []}))
-        assert getattr(doc, key) == 10**400
+    @pytest.mark.parametrize("lines", [True, False], ids=["lines", "bare"])
+    @pytest.mark.parametrize("key", ["image_width", "image_height"], ids=["width", "height"])
+    def test_largest_float_accepted_and_round_trips(self, key, lines):
+        doc = parse(doc_dict(**{key: _MAX_DIMENSION}, **({} if lines else NO_LINES)))
+        assert getattr(doc, key) == _MAX_DIMENSION
         assert parse_document(serialize_document(doc)) == doc
