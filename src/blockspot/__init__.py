@@ -18,7 +18,6 @@ from .geometry import (
     split_for_recognizer,
 )
 from .llm import (
-    FinishReason,
     HttpBackend,
     LlmBackend,
     LlmConfig,

@@ -36,7 +36,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
@@ -238,17 +238,7 @@ def _read_corpus(arg: str) -> str:
 
 def cmd_fuzzy(args: argparse.Namespace) -> int:
     match = best_fuzzy_substring(args.query, _read_corpus(args.corpus))
-    print(
-        json.dumps(
-            {
-                "substring": match.substring,
-                "start": match.start,
-                "end": match.end,
-                "distance": match.distance,
-            },
-            ensure_ascii=False,
-        )
-    )
+    print(json.dumps(asdict(match), ensure_ascii=False))
     return EXIT_OK
 
 

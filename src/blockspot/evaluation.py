@@ -77,7 +77,9 @@ def match_blocks(
     below it, so all of them have IoU 0.  The window uses comparisons
     only, so it is exact.  Candidates are scanned in ground-truth index
     order.  A hull as tall as the page widens every window to the whole
-    list, which is P x G work again but still correct.
+    list, and a row of hulls that share one y-range (vertical text set side
+    by side) puts the whole row in each window; either is up to P x G work
+    again, but still correct.
     """
     gt_hulls = [block_hull(gt, block) for block in gt.blocks]
     order = sorted(range(len(gt_hulls)), key=lambda g: gt_hulls[g].y_min)

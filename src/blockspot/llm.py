@@ -3,8 +3,8 @@
 Three interchangeable backends sit behind one protocol: an OpenAI-style
 HTTP client, a scripted mock keyed by block identifier (for offline tests),
 and a transcript replay that re-serves recorded replies.  The module-level
-:func:`complete` adds retry-with-backoff around transient failures and
-normalizes replies; :func:`fits_context` implements the context-length
+:func:`complete` adds retry-with-backoff around transient failures and is
+the one judge of a reply; :func:`fits_context` implements the context-length
 check that decides whether a block can be sent to the LLM at all.
 
 Token counts are estimated as ceil(characters / 4).  That deliberately
@@ -14,7 +14,6 @@ toward the geometric fallback, never past the provider's real limit.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
@@ -63,12 +62,6 @@ class LlmTruncatedError(LlmError):
     """The provider stopped early; the reply cannot be trusted."""
 
 
-class FinishReason(enum.Enum):
-    COMPLETE = "complete"
-    TRUNCATED = "truncated"
-    ERROR = "error"
-
-
 @dataclass(frozen=True)
 class LlmConfig:
     """Connection and sampling settings for one pipeline run."""
@@ -95,14 +88,10 @@ class LlmConfig:
 
 @dataclass(frozen=True)
 class LlmReply:
-    """A normalized backend reply."""
+    """What the provider sent back, unjudged: :func:`complete` decides if it is usable."""
 
     text: str
-    finish_reason: FinishReason = FinishReason.COMPLETE
-
-    def __post_init__(self) -> None:
-        if self.finish_reason is FinishReason.COMPLETE and not self.text:
-            raise ValueError("a complete reply cannot be empty")
+    truncated: bool = False
 
 
 class LlmBackend(Protocol):
@@ -123,11 +112,12 @@ def fits_context(prompt: ChatPrompt, config: LlmConfig) -> bool:
 
 def complete(
     backend: LlmBackend, prompt: ChatPrompt, config: LlmConfig, key: str = ""
-) -> LlmReply:
-    """Run one completion with retries on transient failures.
+) -> str:
+    """Run one completion with retries on transient failures; return its text.
 
-    The reply text is stripped of surrounding whitespace; empty, truncated
-    and lone-surrogate replies are raised as errors so callers can fall back.
+    This is the only place a reply is rejected: a truncated reply, one that
+    is blank after stripping, or one holding a lone surrogate raises, so
+    callers can fall back.  The accepted text comes back stripped.
     """
     attempts = config.max_retries + 1
     last: LlmTransientError | None = None
@@ -140,15 +130,13 @@ def complete(
             last = e
             continue
         text = reply.text.strip()
-        if reply.finish_reason is FinishReason.TRUNCATED:
+        if reply.truncated:
             raise LlmTruncatedError(f"reply truncated after {len(text)} chars (key={key!r})")
-        if reply.finish_reason is FinishReason.ERROR:
-            raise LlmRequestError(f"backend reported an error reply (key={key!r})")
         if not text:
             raise LlmRequestError(f"backend returned an empty reply (key={key!r})")
         if LONE_SURROGATE.search(text):
             raise LlmRequestError(f"reply holds a lone surrogate (key={key!r})")
-        return LlmReply(text=text)
+        return text
     raise LlmTransientError(f"gave up after {attempts} attempts: {last}")
 
 
@@ -210,12 +198,9 @@ class HttpBackend:
             finish = choice.get("finish_reason", "stop")
             if not isinstance(text, str):
                 raise TypeError(f"content is a {type(text).__name__}, not a string")
-        except (ValueError, KeyError, IndexError, TypeError) as e:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as e:
             raise LlmRequestError(f"malformed provider response: {e}") from e
-        reason = FinishReason.TRUNCATED if finish == "length" else (
-            FinishReason.COMPLETE if text.strip() else FinishReason.ERROR
-        )
-        return LlmReply(text=text, finish_reason=reason)
+        return LlmReply(text, truncated=finish == "length")
 
 
 class ScriptedBackend:
@@ -235,12 +220,9 @@ class ScriptedBackend:
 
     def send(self, prompt: ChatPrompt, config: LlmConfig, key: str) -> LlmReply:
         try:
-            text = self._replies[key]
+            return LlmReply(self._replies[key])
         except KeyError:
             raise LlmRequestError(f"no scripted reply for key {key!r}") from None
-        # an empty reply is an error reply, as HttpBackend reads one
-        reason = FinishReason.COMPLETE if text.strip() else FinishReason.ERROR
-        return LlmReply(text=text, finish_reason=reason)
 
 
 def prompt_fingerprint(prompt: ChatPrompt) -> str:
@@ -254,9 +236,11 @@ def prompt_fingerprint(prompt: ChatPrompt) -> str:
 class ReplayBackend:
     """Replays a recorded transcript.
 
-    Each line is a JSON object ``{key, prompt_hash, reply, finish_reason}``;
-    a line without ``finish_reason`` replays as ``complete``.  ``entries``
-    maps each ``(key, prompt_hash)`` to its reply.
+    Each line is a JSON object ``{key, prompt_hash, reply, finish_reason}``
+    with ``finish_reason`` ``complete`` (also when it is missing) or
+    ``truncated``.  An earlier recorder marked a blank reply ``error``; such a
+    line replays as a blank reply.  ``entries`` maps each
+    ``(key, prompt_hash)`` to its reply.
     """
 
     def __init__(self, path: str | Path):
@@ -266,7 +250,10 @@ class ReplayBackend:
                 text = entry["reply"]
                 if not isinstance(text, str):
                     raise TypeError(f"reply must be a string, got {text!r}")
-                reply = LlmReply(text, FinishReason(entry.get("finish_reason", "complete")))
+                reason = entry.get("finish_reason", "complete")
+                if reason not in ("complete", "truncated", "error"):
+                    raise ValueError(f"unknown finish_reason {reason!r}")
+                reply = LlmReply("" if reason == "error" else text, truncated=reason == "truncated")
                 self.entries[(entry["key"], entry["prompt_hash"])] = reply
             except (ValueError, KeyError, TypeError) as e:
                 raise LlmRequestError(f"{path}:{ln}: bad transcript line: {e}") from e
@@ -300,7 +287,7 @@ class TranscriptRecorder:
                 "key": key,
                 "prompt_hash": prompt_fingerprint(prompt),
                 "reply": reply.text,
-                "finish_reason": reply.finish_reason.value,
+                "finish_reason": "truncated" if reply.truncated else "complete",
             },
             ensure_ascii=False,
         )

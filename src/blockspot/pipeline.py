@@ -240,9 +240,9 @@ def order_block(
         if reply is None:
             strategy = Strategy.GEOMETRIC_FALLBACK_ERROR
         else:
-            llm_len = len(reply.text)
-            if length_guard(reply.text, expected):
-                strategy, block_text = Strategy.LLM, reply.text
+            llm_len = len(reply)
+            if length_guard(reply, expected):
+                strategy, block_text = Strategy.LLM, reply
             else:
                 strategy = Strategy.GEOMETRIC_FALLBACK_LENGTH
     return OrderingOutcome(

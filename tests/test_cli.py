@@ -281,14 +281,16 @@ class TestEval:
         bad.write_text("{broken")
         assert main(["eval", str(pred_path), str(bad)]) == 2
 
-    def test_untexted_prediction_exits_2(self, tmp_path, sign_fixture, capsys):
-        doc_path, _ = sign_fixture  # its one block has no text
-        gt_path = tmp_path / "gt.json"
-        save_document(sign_gt(), gt_path)
-        assert main(["eval", str(doc_path), str(gt_path)]) == 2
+    @pytest.mark.parametrize("side", ["prediction", "ground-truth"])
+    def test_untexted_block_exits_2(self, tmp_path, sign_fixture, capsys, side):
+        untexted, _ = sign_fixture  # its one block has no text
+        texted = tmp_path / "gt.json"
+        save_document(sign_gt(), texted)
+        pred, gt = (untexted, texted) if side == "prediction" else (texted, untexted)
+        assert main(["eval", str(pred), str(gt)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: prediction block 0 has no text\n"
+        assert err == f"error: {side} block 0 has no text\n"
 
     def test_min_iou_flag_respected(self, tmp_path, capsys):
         gt_path = tmp_path / "gt.json"
@@ -393,7 +395,18 @@ class TestBadPaths:
             assert not (tmp_path / "missing_dir").exists()
 
     @pytest.mark.parametrize(
-        "outcomes", ["{tmp}/missing_dir/o.json", "{tmp}"], ids=["no-parent", "is-a-directory"]
+        "outcomes",
+        [
+            pytest.param("{tmp}/missing_dir/o.json", id="no-parent"),
+            pytest.param("{tmp}", id="is-a-directory"),
+            pytest.param(  # passes the path checks; the write itself fails, after --out's
+                "/dev/full",
+                id="device-full",
+                marks=pytest.mark.skipif(
+                    not Path("/dev/full").is_char_device(), reason="no /dev/full device"
+                ),
+            ),
+        ],
     )
     def test_failed_outcomes_write_leaves_no_output(self, tmp_path, sign_fixture, capsys, outcomes):
         pred_path, _ = sign_fixture

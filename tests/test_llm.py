@@ -11,10 +11,9 @@ import json
 import re
 
 import pytest
-from conftest import StubHandler, ok_reply
+from conftest import StubHandler, ok_reply, sign_doc
 
 from blockspot.llm import (
-    FinishReason,
     HttpBackend,
     LlmAuthError,
     LlmConfig,
@@ -32,6 +31,7 @@ from blockspot.llm import (
     fits_context,
     prompt_fingerprint,
 )
+from blockspot.pipeline import Strategy, run
 from blockspot.prompting import ChatPrompt
 
 PROMPT = ChatPrompt(system="sys", user="user text")
@@ -102,9 +102,7 @@ class TestTokenBudget:
 class TestScripted:
     def test_keyed_reply(self):
         backend = ScriptedBackend({"block-1": "canned answer"})
-        reply = complete(backend, PROMPT, config(), key="block-1")
-        assert reply.text == "canned answer"
-        assert reply.finish_reason is FinishReason.COMPLETE
+        assert complete(backend, PROMPT, config(), key="block-1") == "canned answer"
 
     def test_missing_key_is_request_error(self):
         backend = ScriptedBackend({})
@@ -115,13 +113,13 @@ class TestScripted:
         backend = ScriptedBackend({"k": "same"})
         first = complete(backend, PROMPT, config(), key="k")
         second = complete(backend, PROMPT, config(), key="k")
-        assert first.text == second.text == "same"
+        assert first == second == "same"
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "replies.json"
         path.write_text(json.dumps({"block-0": "hello"}), encoding="utf-8")
         backend = ScriptedBackend.from_json(path)
-        assert complete(backend, PROMPT, config(), key="block-0").text == "hello"
+        assert complete(backend, PROMPT, config(), key="block-0") == "hello"
 
     def test_from_json_rejects_non_mapping(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -133,8 +131,7 @@ class TestScripted:
 class TestRetries:
     def test_two_failures_then_success(self):
         backend = FlakyBackend(failures=2)
-        reply = complete(backend, PROMPT, config(max_retries=3), key="k")
-        assert reply.text == "recovered"
+        assert complete(backend, PROMPT, config(max_retries=3), key="k") == "recovered"
         assert backend.calls == 3
 
     def test_exhausted_retries_raise_transient(self):
@@ -158,34 +155,38 @@ class TestRetries:
 
     def test_reply_whitespace_stripped(self):
         backend = ScriptedBackend({"k": "  answer \n"})
-        assert complete(backend, PROMPT, config(), key="k").text == "answer"
+        assert complete(backend, PROMPT, config(), key="k") == "answer"
 
     def test_lone_surrogate_reply_is_request_error(self):
         backend = ScriptedBackend({"k": "TO \ud83d LOVE"})
         with pytest.raises(LlmRequestError, match="lone surrogate"):
             complete(backend, PROMPT, config(), key="k")
         paired = ScriptedBackend({"k": "TO \U0001f600 LOVE"})
-        assert complete(paired, PROMPT, config(), key="k").text == "TO \U0001f600 LOVE"
+        assert complete(paired, PROMPT, config(), key="k") == "TO \U0001f600 LOVE"
 
     def test_empty_reply_raises(self):
         class Empty:
             def send(self, *a):
-                return LlmReply(text=" ", finish_reason=FinishReason.TRUNCATED)
+                return LlmReply(text=" ", truncated=True)
 
         with pytest.raises(LlmTruncatedError):
             complete(Empty(), PROMPT, config(), key="k")
+
+    @pytest.mark.parametrize("text", ["", " \n\t"], ids=["empty", "whitespace"])
+    def test_blank_reply_is_request_error(self, text):
+        backend = ScriptedBackend({"k": text})
+        assert backend.send(PROMPT, config(), "k") == LlmReply(text)  # the backend passes it on
+        with pytest.raises(LlmRequestError, match="empty reply"):
+            complete(backend, PROMPT, config(), key="k")
 
 
 class TestReplay:
     def test_record_then_replay(self, tmp_path):
         transcript = tmp_path / "session.jsonl"
         recorder = TranscriptRecorder(ScriptedBackend({"block-0": "logged"}), transcript)
-        live = complete(recorder, PROMPT, config(), key="block-0")
-        assert live.text == "logged"
-
+        assert complete(recorder, PROMPT, config(), key="block-0") == "logged"
         replay = ReplayBackend(transcript)
-        again = complete(replay, PROMPT, config(), key="block-0")
-        assert again.text == "logged"
+        assert complete(replay, PROMPT, config(), key="block-0") == "logged"
 
     def test_replay_misses_are_request_errors(self, tmp_path):
         transcript = tmp_path / "session.jsonl"
@@ -209,28 +210,46 @@ class TestReplay:
         with pytest.raises(LlmRequestError, match="bad transcript line"):
             ReplayBackend(transcript)
 
-    @pytest.mark.parametrize("reason", list(FinishReason))
+    @pytest.mark.parametrize("reason", ["complete", "truncated"])
     def test_finish_reason_recorded_and_replayed(self, tmp_path, reason):
         class Answering:
             def send(self, *a):
-                return LlmReply(text="partial", finish_reason=reason)
+                return LlmReply(text="partial", truncated=reason == "truncated")
 
         transcript = tmp_path / "session.jsonl"
         live = TranscriptRecorder(Answering(), transcript).send(PROMPT, config(), "block-0")
-        assert json.loads(transcript.read_text())["finish_reason"] == reason.value
+        assert json.loads(transcript.read_text())["finish_reason"] == reason
         assert ReplayBackend(transcript).send(PROMPT, config(), "block-0") == live
 
     def test_line_without_finish_reason_replays_complete(self, tmp_path):
         transcript = tmp_path / "old.jsonl"
         entry = {"key": "block-0", "prompt_hash": prompt_fingerprint(PROMPT), "reply": "x"}
         transcript.write_text(json.dumps(entry) + "\n")
-        reply = ReplayBackend(transcript).send(PROMPT, config(), "block-0")
-        assert reply == LlmReply(text="x", finish_reason=FinishReason.COMPLETE)
+        assert ReplayBackend(transcript).send(PROMPT, config(), "block-0") == LlmReply("x")
+
+    def test_error_line_replays_blank(self, tmp_path):
+        # an earlier recorder marked a blank reply "error"; its text is dropped
+        transcript = tmp_path / "old.jsonl"
+        entry = {"key": "block-0", "prompt_hash": prompt_fingerprint(PROMPT), "reply": "partial"}
+        transcript.write_text(json.dumps({**entry, "finish_reason": "error"}) + "\n")
+        replay = ReplayBackend(transcript)
+        assert replay.send(PROMPT, config(), "block-0") == LlmReply("")
+        with pytest.raises(LlmRequestError, match="empty reply"):
+            complete(replay, PROMPT, config(), key="block-0")
+
+    def test_blank_reply_replays_like_live(self, tmp_path):
+        transcript = tmp_path / "session.jsonl"
+        live = run(sign_doc(), TranscriptRecorder(ScriptedBackend({"block-0": ""}), transcript), config())
+        line = json.loads(transcript.read_text())
+        assert (line["reply"], line["finish_reason"]) == ("", "complete")
+        replayed = run(sign_doc(), ReplayBackend(transcript), config())
+        assert [o.strategy for o in live[1]] == [Strategy.GEOMETRIC_FALLBACK_ERROR]
+        assert replayed == live
 
     @pytest.mark.parametrize(
         "extra",
-        [{"finish_reason": "stop"}, {"reply": ""}, {"reply": 7}],
-        ids=["unknown-reason", "empty-complete", "non-string"],
+        [{"finish_reason": "stop"}, {"reply": 7}],
+        ids=["unknown-reason", "non-string"],
     )
     def test_invalid_entry_rejected(self, tmp_path, extra):
         transcript = tmp_path / "bad.jsonl"
@@ -262,8 +281,7 @@ class TestHttpBackend:
     def test_success_and_payload_shape(self, stub_server):
         StubHandler.script = [(200, ok_reply("the answer"))]
         cfg = config(endpoint_url=stub_server, model="test-model", temperature=0.0)
-        reply = complete(HttpBackend(), PROMPT, cfg, key="k")
-        assert reply.text == "the answer"
+        assert complete(HttpBackend(), PROMPT, cfg, key="k") == "the answer"
         seen = StubHandler.requests_seen[0]
         assert seen["auth"] == "Bearer test-key"
         assert seen["body"]["model"] == "test-model"
@@ -274,8 +292,7 @@ class TestHttpBackend:
     def test_retry_on_429_then_success(self, stub_server):
         StubHandler.script = [(429, {"error": "slow down"}), (200, ok_reply("after retry"))]
         cfg = config(endpoint_url=stub_server)
-        reply = complete(HttpBackend(), PROMPT, cfg, key="k")
-        assert reply.text == "after retry"
+        assert complete(HttpBackend(), PROMPT, cfg, key="k") == "after retry"
         assert len(StubHandler.requests_seen) == 2
 
     def test_auth_rejection_not_retried(self, stub_server):
@@ -298,6 +315,14 @@ class TestHttpBackend:
         with pytest.raises(LlmTruncatedError):
             complete(HttpBackend(), PROMPT, cfg, key="k")
 
+    @pytest.mark.parametrize("content", [None, " "], ids=["null", "blank"])
+    def test_blank_content_is_an_empty_reply(self, stub_server, content):
+        StubHandler.script = [(200, ok_reply(content))] * 2
+        cfg = config(endpoint_url=stub_server)
+        assert HttpBackend().send(PROMPT, cfg, "k") == LlmReply(content or "")
+        with pytest.raises(LlmRequestError, match="empty reply"):
+            complete(HttpBackend(), PROMPT, cfg, key="k")
+
     def test_server_errors_exhaust_into_transient(self, stub_server):
         StubHandler.script = [(500, {}), (502, {}), (503, {})]
         cfg = config(endpoint_url=stub_server, max_retries=2)
@@ -307,13 +332,6 @@ class TestHttpBackend:
 
 
 class TestReplyInvariant:
-    def test_complete_reply_must_have_text(self):
-        with pytest.raises(ValueError):
-            LlmReply(text="", finish_reason=FinishReason.COMPLETE)
-
-    def test_error_reply_may_be_empty(self):
-        assert LlmReply(text="", finish_reason=FinishReason.ERROR).text == ""
-
     def test_llm_error_hierarchy(self):
         for cls in (LlmTransientError, LlmAuthError, LlmRequestError, LlmTruncatedError):
             assert issubclass(cls, LlmError)

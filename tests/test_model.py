@@ -246,6 +246,7 @@ class TestParse:
             '{"image_width": "x", "image_height": 5, "lines": [], "blocks": []}',
             '{"image_width": 10, "image_height": 5, "lines": [5], "blocks": []}',
             '{"image_width": 10, "image_height": 5, "lines": [], "blocks": [{}]}',
+            '{"image_width": 10, "image_height": 5, "lines": [], "blocks": [7]}',
             '{"image_width": 10, "image_height": 5, "lines": [{"id": 1}], "blocks": []}',
             '{"image_width": 10, "image_height": 5, "lines": [{"id": 1, "vertices": [[0,0]]}], "blocks": []}',
             '{"image_width": 10, "image_height": 5, "lines": [], "blocks": [{"line_ids": "no"}]}',
