@@ -7,12 +7,9 @@ budget; transport errors and replies failing the length guard degrade to
 the geometric order joined with spaces, while a request the provider
 refuses fails the whole run.  Every block always ends up with a text and
 an :class:`OrderingOutcome` explaining which strategy produced it.
-:func:`run` orders the blocks in a plain loop when there is no backend
-(the work is pure Python, which threads cannot speed up).  With a backend
-it keeps the blocks in a small thread pool, so that provider waits overlap,
-until the ``OrderingOutcome.wait_s`` of a run of that backend show its
-sends do not wait (an offline replay or a scripted backend); from then on
-that backend's blocks are ordered in the plain loop too.
+:func:`run` orders the blocks on the calling thread; with a backend,
+long-lived helper threads take blocks from the same queue, so that
+provider waits overlap.
 
 The recognizer side is an interface: :func:`plan_recognition` describes the
 rotate/crop/split work per line as one tuple-backed
@@ -26,9 +23,10 @@ Scripted and echo recognizers are provided for tests and offline runs.
 from __future__ import annotations
 
 import enum
+import os
 import threading
 import time
-import weakref
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Protocol, Sequence
@@ -46,16 +44,22 @@ from .llm import LlmBackend, LlmConfig, LlmError, LlmRefusedError, complete, fit
 from .model import Block, Document, Line
 from .prompting import ChatPrompt, build_prompt, length_guard
 
-# Blocks in flight at once while a backend's sends wait; only provider
-# waits overlap, because the GIL serializes the pure-Python work around
-# them.  A backend whose last run had a median OrderingOutcome.wait_s of at
-# most _WAIT_S is in _IDLE_BACKENDS and gets no pool: 2 ms lies above a
-# pooled replay run's median (under 0.25 ms in 99% of runs on a 2-vCPU VM)
-# and below a real provider round trip.  A median, because host noise alone
-# can hold one serial block off the CPU for several milliseconds.
+# Blocks in flight at once while a backend's sends wait: the caller and
+# _BACKEND_WORKERS - 1 helpers.  Only provider waits overlap, because the
+# GIL serializes the pure-Python work around them.  The helpers are shared
+# by every run and started once; a forked child has none of its parent's
+# threads, so it starts its own.
 _BACKEND_WORKERS = 4
-_WAIT_S = 0.002
-_IDLE_BACKENDS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _start_helpers() -> None:
+    global _HELPERS
+    _HELPERS = ThreadPoolExecutor(_BACKEND_WORKERS - 1, thread_name_prefix="blockspot-helper")
+
+
+_start_helpers()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_helpers)
 
 
 class PipelineError(RuntimeError):
@@ -255,27 +259,6 @@ def order_block(
     )
 
 
-def _is_idle(backend: LlmBackend) -> bool:
-    try:
-        return backend in _IDLE_BACKENDS
-    except TypeError:  # unhashable: never remembered, always pooled
-        return False
-
-
-def _remember(backend: LlmBackend, waits: list[float]) -> None:
-    """Record whether this run's sends waited; a run that sent nothing says nothing."""
-    if not waits:
-        return
-    median_wait = sorted(waits)[len(waits) // 2]
-    try:
-        if median_wait <= _WAIT_S:
-            _IDLE_BACKENDS.add(backend)
-        else:
-            _IDLE_BACKENDS.discard(backend)
-    except TypeError:  # not hashable or not weak-referenceable
-        pass
-
-
 def run(
     doc: Document,
     backend: LlmBackend | None,
@@ -284,41 +267,43 @@ def run(
     """Order every block; returns the texted document and per-block outcomes.
 
     Lines outside any block are appended as singleton blocks (in line
-    order) so the output covers every detected line.  Without a backend
-    the blocks are ordered in a plain loop.  With one, the pool decision
-    reads the outcomes' ``wait_s``: a backend whose last run had a median
-    wait of at most ``_WAIT_S`` is ordered in the plain loop too, and every
-    other one (a new one, one whose sends waited, or one that cannot be
-    hashed or weakly referenced) in a fixed pool of threads that overlaps
-    the provider waits.  Results are merged
-    back in block order either way, so a deterministic backend gives a
-    deterministic output.  An :class:`LlmRefusedError` from any block stops
-    the blocks not yet started and is re-raised as is; other exceptions are
-    invariant violations, gathered into one :class:`PipelineError`.
+    order) so the output covers every detected line.  The calling thread
+    takes blocks from a shared queue and orders them.  With a backend and
+    more than one block, ``_BACKEND_WORKERS - 1`` shared helper threads
+    take blocks from that queue too, so that provider waits overlap; once
+    the queue is empty the caller waits only for the helpers that started,
+    never for ones still queued behind another run.  Results are merged
+    back in block order, so a deterministic backend gives a deterministic
+    output.  An :class:`LlmRefusedError` from any block stops the blocks not
+    yet started and is re-raised as is; other exceptions are invariant
+    violations, gathered into one :class:`PipelineError`.
     """
     blocks = list(doc.blocks)
     blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
+    todo = deque(enumerate(blocks))
+    results: list[OrderingOutcome | Exception | None] = [None] * len(blocks)
     refused = threading.Event()
 
-    def work(item: tuple[int, Block]) -> OrderingOutcome | Exception | None:
-        if refused.is_set():  # any further request would be refused too
-            return None
-        index, block = item
-        try:
-            return order_block(doc, block, backend, config, block_index=index)
-        except Exception as e:  # refused requests and bugs; reported after the merge
-            if isinstance(e, LlmRefusedError):
-                refused.set()
-            return e
+    def work() -> None:
+        while not refused.is_set():  # any further request would be refused too
+            try:
+                index, block = todo.popleft()
+            except IndexError:
+                return
+            try:
+                results[index] = order_block(doc, block, backend, config, block_index=index)
+            except Exception as e:  # refused requests and bugs; reported after the merge
+                if isinstance(e, LlmRefusedError):
+                    refused.set()
+                results[index] = e
 
-    items = list(enumerate(blocks))
-    if backend is not None and len(items) > 1 and not _is_idle(backend):
-        with ThreadPoolExecutor(max_workers=_BACKEND_WORKERS) as pool:
-            results = list(pool.map(work, items))
-    else:
-        results = [work(item) for item in items]
-    waits = [r.wait_s for r in results if isinstance(r, OrderingOutcome)]
-    _remember(backend, [w for w in waits if w is not None])
+    helpers = []
+    if backend is not None and len(blocks) > 1:
+        helpers = [_HELPERS.submit(work) for _ in range(_BACKEND_WORKERS - 1)]
+    work()
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()
 
     if refused.is_set():
         raise next(r for r in results if isinstance(r, LlmRefusedError))

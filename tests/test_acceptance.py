@@ -23,6 +23,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import sign_doc, synthetic_gt
@@ -311,40 +313,9 @@ def _run_and_report(name, fn):
     print(f"[acceptance {name}] PASS: {detail}")
 
 
-def test_criterion_1():
-    _run_and_report(*CRITERIA[0])
-
-
-def test_criterion_2():
-    _run_and_report(*CRITERIA[1])
-
-
-def test_criterion_3():
-    _run_and_report(*CRITERIA[2])
-
-
-def test_criterion_4():
-    _run_and_report(*CRITERIA[3])
-
-
-def test_criterion_5():
-    _run_and_report(*CRITERIA[4])
-
-
-def test_criterion_6():
-    _run_and_report(*CRITERIA[5])
-
-
-def test_criterion_7():
-    _run_and_report(*CRITERIA[6])
-
-
-def test_criterion_8():
-    _run_and_report(*CRITERIA[7])
-
-
-def test_criterion_9():
-    _run_and_report(*CRITERIA[8])
+@pytest.mark.parametrize(("name", "fn"), CRITERIA, ids=[name for name, _ in CRITERIA])
+def test_criterion(name, fn):
+    _run_and_report(name, fn)
 
 
 if __name__ == "__main__":

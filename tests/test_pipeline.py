@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -559,10 +559,11 @@ class TestRun:
         assert [b.text for b in out.blocks] == [o.block_text for o in expected]
 
     def test_geometric_only_run_starts_no_pool(self, monkeypatch):
-        def no_pool(*a, **k):
-            raise AssertionError("geometric-only run started a thread pool")
+        class NoHelpers:
+            def submit(self, *a, **k):
+                raise AssertionError("geometric-only run submitted a helper")
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(pipeline, "_HELPERS", NoHelpers())
         out, outcomes = run(synthetic_gt(6), None, config())
         assert [o.strategy for o in outcomes[:2]] == [Strategy.SINGLE_LINE, Strategy.GEOMETRIC_ONLY]
 
@@ -591,7 +592,7 @@ class TestRun:
     def test_serial_and_concurrent_agree(self, monkeypatch):
         doc = self.make_doc()
         replies = {"block-0": "alpha one alpha two", "block-1": "beta one beta two"}
-        # a new backend each time: a reused one would skip the pool
+        # 1: the caller alone orders every block; 8: the caller and 7 helpers
         monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 1)
         serial = run(doc, ScriptedBackend(replies), config())
         monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 8)
@@ -654,46 +655,32 @@ class TestRun:
 
 
 class TestPoolPolicy:
-    """``run`` pools a backend's blocks only while its sends wait."""
+    """``run``'s caller and the shared helper threads take a backend's blocks."""
 
     @staticmethod
     def replies(doc):
         return {block_key(i): b.text for i, b in enumerate(doc.blocks)}
 
-    def test_reused_scripted_backend_starts_no_pool(self, monkeypatch):
-        doc = synthetic_gt(11)
-        backend = ScriptedBackend(self.replies(doc))
-        first = run(doc, backend, config())
-
-        def no_pool(*a, **k):
-            raise AssertionError("a backend whose sends never wait got a thread pool")
-
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
-        assert run(doc, backend, config()) == first
-
     class Delayed:
-        """Sleeps ``delay`` s per send; records sending threads and the peak in flight."""
+        """Sleeps ``delay`` s per send; records the peak in flight."""
 
         def __init__(self, delay):
             self.delay = delay
             self.in_flight = 0
             self.peak = 0
-            self.threads = set()
             self.lock = threading.Lock()
 
         def send(self, prompt, cfg, key):
             with self.lock:
                 self.in_flight += 1
                 self.peak = max(self.peak, self.in_flight)
-                self.threads.add(threading.get_ident())
-            if self.delay > 0:  # sleep(0) would hand the GIL on and count as a wait
-                time.sleep(self.delay)  # a provider round trip
+            time.sleep(self.delay)  # a provider round trip
             with self.lock:
                 self.in_flight -= 1
             return LlmReply(text="reply")
 
         def run(self, doc):
-            self.peak, self.threads = 0, set()
+            self.peak = 0
             run(doc, self, config())
             return self
 
@@ -703,21 +690,10 @@ class TestPoolPolicy:
         doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2))
         backend = self.Delayed(0.020)
         peaks = [backend.run(doc).peak for _ in range(3)]
-        assert peaks[1] >= 2 and peaks[2] >= 2
-
-    def test_backend_that_starts_waiting_gets_the_pool_back(self):
-        doc = synthetic_gt(11)
-        backend = self.Delayed(0.0).run(doc)
-        assert backend.run(doc).threads == {threading.get_ident()}  # idle: plain loop
-        backend.delay = 0.020
-        assert backend.run(doc).threads == {threading.get_ident()}  # measured waiting
-        assert threading.get_ident() not in backend.run(doc).threads
-        assert backend.peak >= 2
+        assert all(peak >= 2 for peak in peaks)  # the first run too: nothing is learned
 
     def test_every_sending_block_is_timed(self, monkeypatch):
-        # every sending block, pooled under frequent thread switches, hands its wait on
-        seen = []
-        monkeypatch.setattr(pipeline, "_remember", lambda backend, waits: seen.append(waits))
+        # every sending block is timed, also under frequent thread switches
         monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 8)
         doc = synthetic_gt(90)
         switch = sys.getswitchinterval()
@@ -727,7 +703,7 @@ class TestPoolPolicy:
         finally:
             sys.setswitchinterval(switch)
         sent = [o for o in outcomes if o.wait_s is not None]
-        assert len(sent) == 60 and len(seen) == 1 and len(seen[0]) == 60
+        assert len(sent) == 60
 
     def test_only_sending_blocks_record_a_wait(self, figure_doc):
         single = Document(
@@ -752,59 +728,94 @@ class TestPoolPolicy:
         sent = order_block(figure_doc, block, self.Delayed(0.020), config(), 0)
         assert sent.wait_s >= 0.015
 
-    @pytest.mark.parametrize("kind", ["slots", "unhashable"])
-    def test_unrememberable_backend_gives_order_block_outcomes(self, kind):
+    def test_forked_child_completes_a_run(self):
+        # the child inherits the helper pool but none of its threads
         doc = synthetic_gt(11)
-        replies = self.replies(doc)
+        self.Delayed(0.005).run(doc)
+        expected = run(doc, ScriptedBackend(self.replies(doc)), config())
 
-        class Slotted:  # no __weakref__ slot: cannot be weakly referenced
-            __slots__ = ("replies",)
+        def child():
+            assert self.Delayed(0.005).run(doc).peak >= 2
+            assert run(doc, ScriptedBackend(self.replies(doc)), config()) == expected
 
-            def __init__(self, replies):
-                self.replies = replies
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=30)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the forked child's run hung")
+        assert process.exitcode == 0
+
+    def test_run_does_not_wait_for_helpers_held_by_another_run(self):
+        doc = synthetic_gt(30)
+        doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2))
+
+        class Held:
+            """Every send waits until released, or 30 s pass."""
+
+            def __init__(self):
+                self.in_flight = 0
+                self.cond = threading.Condition()
+                self.release = threading.Event()
 
             def send(self, prompt, cfg, key):
-                return LlmReply(text=self.replies[key])
+                with self.cond:
+                    self.in_flight += 1
+                    self.cond.notify_all()
+                self.release.wait(timeout=30)
+                return LlmReply(text="reply")
 
-        @dataclass
-        class Unhashable:  # eq without frozen sets __hash__ to None
-            replies: dict
+        held = Held()
+        other = threading.Thread(target=run, args=(doc, held, config()))
+        other.start()
+        try:
+            with held.cond:  # the other run's caller and all its helpers are sending
+                assert held.cond.wait_for(lambda: held.in_flight == pipeline._BACKEND_WORKERS, timeout=10)
+            small = synthetic_gt(11)
+            started = time.perf_counter()
+            _, outcomes = run(small, ScriptedBackend(self.replies(small)), config())
+            elapsed = time.perf_counter() - started
+        finally:
+            held.release.set()
+            other.join()
+        assert elapsed < 5.0
+        assert Strategy.LLM in {o.strategy for o in outcomes}
 
+    def test_concurrent_runs_match_serial_runs(self):
+        docs = [synthetic_gt(11), synthetic_gt(20)]
+
+        class Slow(ScriptedBackend):
             def send(self, prompt, cfg, key):
-                return LlmReply(text=self.replies[key])
+                time.sleep(0.002)
+                return super().send(prompt, cfg, key)
 
-        backend = Slotted(replies) if kind == "slots" else Unhashable(replies)
-        expected = [
-            order_block(doc, block, backend, config(), block_index=i)
-            for i, block in enumerate(doc.blocks)
-        ]
-        for _ in range(2):  # the second run looks the backend up
-            out, outcomes = run(doc, backend, config())
-            assert outcomes == expected
-            assert [b.text for b in out.blocks] == [o.block_text for o in expected]
+        def order(doc):
+            return run(doc, Slow(self.replies(doc)), config())
 
-    def test_refusal_after_an_idle_run_sends_one_request(self):
+        serial = [order(doc) for doc in docs]
+        concurrent = [None, None]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait()
+            concurrent[i] = order(docs[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert concurrent == serial
+
+    def test_runs_start_no_new_threads(self):
         doc = synthetic_gt(11)
-
-        class TurnsRefusing:
-            def __init__(self, replies):
-                self.replies = replies
-                self.refusing = False
-                self.sends = 0
-
-            def send(self, prompt, cfg, key):
-                self.sends += 1
-                if self.refusing:
-                    time.sleep(0.010)  # long enough for pooled blocks to send too
-                    raise LlmRefusedError("request refused (HTTP 404)")
-                return LlmReply(text=self.replies[key])
-
-        backend = TurnsRefusing(self.replies(doc))
-        run(doc, backend, config())
-        backend.refusing, backend.sends = True, 0
-        with pytest.raises(LlmRefusedError, match="HTTP 404"):
-            run(doc, backend, config())
-        assert backend.sends == 1
+        backend = self.Delayed(0.002)
+        backend.run(doc)
+        after_first = threading.active_count()
+        for _ in range(19):
+            backend.run(doc)
+        assert threading.active_count() == after_first
 
 
 class TestReplayMatchesLive:
