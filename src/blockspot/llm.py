@@ -32,6 +32,9 @@ if TYPE_CHECKING:
 
 API_KEY_ENV = "BLOCKSPOT_API_KEY"
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
+# Requests one pipeline run keeps in flight at most.  pipeline.run's helper
+# threads and HttpBackend's connection pool are both sized from it.
+MAX_IN_FLIGHT = 16
 
 
 class LlmError(Exception):
@@ -145,6 +148,8 @@ class HttpBackend:
 
     An unusable ``endpoint_url`` or API key is refused; every other transport
     fault is transient, and a reply whose content is not a string is malformed.
+    A session made here keeps up to :data:`MAX_IN_FLIGHT` connections per
+    host; a session passed in is used as it is.
     """
 
     RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -153,7 +158,12 @@ class HttpBackend:
     def __init__(self, session: requests.Session | None = None):
         import requests  # imported here so that offline backends never load it
 
-        self._session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_IN_FLIGHT)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
 
     def send(self, prompt: ChatPrompt, config: LlmConfig, key: str) -> LlmReply:
         import requests

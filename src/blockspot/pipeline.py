@@ -7,9 +7,10 @@ budget; transport errors and replies failing the length guard degrade to
 the geometric order joined with spaces, while a request the provider
 refuses fails the whole run.  Every block always ends up with a text and
 an :class:`OrderingOutcome` explaining which strategy produced it.
-:func:`run` orders the blocks on the calling thread; with a backend,
-long-lived helper threads take blocks from the same queue, so that
-provider waits overlap.
+:func:`run` orders the blocks on the calling thread; with a backend, a
+thread that takes a block which may send first hands the queue to one more
+long-lived helper thread, so that up to :data:`~blockspot.llm.MAX_IN_FLIGHT`
+of a run's provider waits overlap.
 
 The recognizer side is an interface: :func:`plan_recognition` describes the
 rotate/crop/split work per line as one tuple-backed
@@ -27,7 +28,7 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
@@ -40,21 +41,27 @@ from .geometry import (
     snap_rotation,
     split_for_recognizer,
 )
-from .llm import LlmBackend, LlmConfig, LlmError, LlmRefusedError, complete, fits_context
+from .llm import (
+    MAX_IN_FLIGHT,
+    LlmBackend,
+    LlmConfig,
+    LlmError,
+    LlmRefusedError,
+    complete,
+    fits_context,
+)
 from .model import Block, Document, Line
 from .prompting import ChatPrompt, build_prompt, length_guard
 
-# Blocks in flight at once while a backend's sends wait: the caller and
-# _BACKEND_WORKERS - 1 helpers.  Only provider waits overlap, because the
-# GIL serializes the pure-Python work around them.  The helpers are shared
-# by every run and started once; a forked child has none of its parent's
-# threads, so it starts its own.
-_BACKEND_WORKERS = 4
 
-
+# A run's blocks in flight at once: the caller and up to MAX_IN_FLIGHT - 1
+# helpers, each submitted by a thread about to wait on a send.  Only
+# provider waits overlap, because the GIL serializes the pure-Python work
+# around them.  The helpers are shared by every run and started once; a
+# forked child has none of its parent's threads, so it starts its own.
 def _start_helpers() -> None:
     global _HELPERS
-    _HELPERS = ThreadPoolExecutor(_BACKEND_WORKERS - 1, thread_name_prefix="blockspot-helper")
+    _HELPERS = ThreadPoolExecutor(MAX_IN_FLIGHT - 1, thread_name_prefix="blockspot-helper")
 
 
 _start_helpers()
@@ -268,44 +275,58 @@ def run(
 
     Lines outside any block are appended as singleton blocks (in line
     order) so the output covers every detected line.  The calling thread
-    takes blocks from a shared queue and orders them.  With a backend and
-    more than one block, ``_BACKEND_WORKERS - 1`` shared helper threads
-    take blocks from that queue too, so that provider waits overlap; once
-    the queue is empty the caller waits only for the helpers that started,
-    never for ones still queued behind another run.  Results are merged
-    back in block order, so a deterministic backend gives a deterministic
+    takes blocks from a shared queue and orders them.  With a backend, a
+    thread that takes a block of more than one line (only those can send)
+    first submits one more copy of that loop to the shared helper threads,
+    if blocks are still queued and no helper of this run is waiting to
+    start; so up to :data:`~blockspot.llm.MAX_IN_FLIGHT` of the run's sends
+    wait on the provider at once.  Once the queue is empty the caller
+    cancels the helpers that never started and waits only for those that
+    did, never for ones queued behind another run.  Results are merged back
+    in block order, so a deterministic backend gives a deterministic
     output.  An :class:`LlmRefusedError` from any block stops the blocks not
     yet started and is re-raised as is; other exceptions are invariant
-    violations, gathered into one :class:`PipelineError`.
+    violations, gathered into one :class:`PipelineError`.  Anything that
+    escapes the caller's own blocks, such as ``KeyboardInterrupt``, stops
+    the helpers before their next block and is re-raised at once.
     """
     blocks = list(doc.blocks)
     blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
     todo = deque(enumerate(blocks))
     results: list[OrderingOutcome | Exception | None] = [None] * len(blocks)
-    refused = threading.Event()
+    stop = threading.Event()  # set by a refusal, or when the caller is interrupted
+    helpers: list[Future] = []
+    handoff = threading.Lock()
 
     def work() -> None:
-        while not refused.is_set():  # any further request would be refused too
+        while not stop.is_set():
             try:
                 index, block = todo.popleft()
             except IndexError:
                 return
+            if backend is not None and len(block.line_ids) > 1:
+                with handoff:  # before this thread waits on a send, one more takes the queue
+                    if todo and not (helpers and _waiting(helpers[-1])):
+                        helpers.append(_HELPERS.submit(work))
             try:
                 results[index] = order_block(doc, block, backend, config, block_index=index)
             except Exception as e:  # refused requests and bugs; reported after the merge
                 if isinstance(e, LlmRefusedError):
-                    refused.set()
+                    stop.set()
                 results[index] = e
 
-    helpers = []
-    if backend is not None and len(blocks) > 1:
-        helpers = [_HELPERS.submit(work) for _ in range(_BACKEND_WORKERS - 1)]
-    work()
+    try:
+        work()
+    except BaseException:
+        stop.set()
+        for helper in helpers:
+            helper.cancel()
+        raise
     for helper in helpers:
         if not helper.cancel():
             helper.result()
 
-    if refused.is_set():
+    if stop.is_set():
         raise next(r for r in results if isinstance(r, LlmRefusedError))
     failures = [(i, r) for i, r in enumerate(results) if isinstance(r, Exception)]
     if failures:
@@ -313,3 +334,8 @@ def run(
 
     new_blocks = tuple(replace(b, text=o.block_text) for b, o in zip(blocks, results))
     return doc.with_blocks(new_blocks), results
+
+
+def _waiting(helper: Future) -> bool:
+    """Submitted, and not yet taken up by a helper thread."""
+    return not (helper.running() or helper.done())

@@ -8,12 +8,16 @@ socket without leaving the machine.
 from __future__ import annotations
 
 import json
+import logging
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from conftest import StubHandler, ok_reply, sign_doc
 
 from blockspot.llm import (
+    MAX_IN_FLIGHT,
     HttpBackend,
     LlmAuthError,
     LlmConfig,
@@ -329,6 +333,51 @@ class TestHttpBackend:
         with pytest.raises(LlmTransientError):
             complete(HttpBackend(), PROMPT, cfg, key="k")
         assert len(StubHandler.requests_seen) == 3
+
+    def test_pool_keeps_every_connection_of_a_full_run(self, caplog):
+        class Held(BaseHTTPRequestHandler):
+            """Answers once MAX_IN_FLIGHT requests are open (or 10 s pass)."""
+
+            open = 0
+            cond = threading.Condition()
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                with self.cond:
+                    type(self).open += 1
+                    self.cond.notify_all()
+                    self.cond.wait_for(lambda: self.open >= MAX_IN_FLIGHT, timeout=10)
+                data = json.dumps(ok_reply("held")).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Held)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        backend = HttpBackend()
+        cfg = config(endpoint_url=f"http://127.0.0.1:{server.server_port}/v1/chat/completions")
+        replies = []
+        senders = [
+            threading.Thread(target=lambda: replies.append(backend.send(PROMPT, cfg, "k")))
+            for _ in range(MAX_IN_FLIGHT)
+        ]
+        try:
+            with caplog.at_level(logging.WARNING, logger="urllib3"):
+                for sender in senders:
+                    sender.start()
+                for sender in senders:
+                    sender.join()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert replies == [LlmReply("held")] * MAX_IN_FLIGHT
+        assert Held.open == MAX_IN_FLIGHT
+        # the default pool of 10 discards the connections past its size
+        assert [r.getMessage() for r in caplog.records if r.name.startswith("urllib3")] == []
 
 
 class TestReplyInvariant:

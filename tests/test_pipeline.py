@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from blockspot.geometry import (
     split_for_recognizer,
 )
 from blockspot.llm import (
+    MAX_IN_FLIGHT,
     HttpBackend,
     LlmAuthError,
     LlmConfig,
@@ -84,6 +86,50 @@ class FaultySession:
     def post(self, *args, **kwargs):
         self.posts += 1
         return self.fault()
+
+
+class Gathering:
+    """Holds each send until ``target`` are in flight (or 10 s pass)."""
+
+    def __init__(self, target):
+        self.target = target
+        self.in_flight = 0
+        self.peak = 0
+        self.cond = threading.Condition()
+
+    def send(self, prompt, cfg, key):
+        with self.cond:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.cond.notify_all()
+            self.cond.wait_for(lambda: self.peak >= self.target, timeout=10)
+            self.in_flight -= 1
+        return LlmReply(text="reply")
+
+
+class NeverStarts:
+    """Stands in for the shared helper threads: no submitted helper starts."""
+
+    def submit(self, *args, **kwargs):
+        return Future()
+
+
+@pytest.fixture
+def ordering_threads(monkeypatch):
+    """``use(n)`` has the caller and ``n - 1`` helper threads order a run."""
+    pools = []
+
+    def use(n):
+        if n == 1:
+            pool = NeverStarts()
+        else:
+            pool = ThreadPoolExecutor(n - 1)
+            pools.append(pool)
+        monkeypatch.setattr(pipeline, "_HELPERS", pool)
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
 
 
 def cut_off_body():
@@ -566,46 +612,34 @@ class TestRun:
         monkeypatch.setattr(pipeline, "_HELPERS", NoHelpers())
         out, outcomes = run(synthetic_gt(6), None, config())
         assert [o.strategy for o in outcomes[:2]] == [Strategy.SINGLE_LINE, Strategy.GEOMETRIC_ONLY]
+        # with a backend too, while no block has more than one line: none can send
+        doc = synthetic_gt(6)
+        singles = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 1))
+        _, outcomes = run(singles, CountingBackend({}), config())
+        assert {o.strategy for o in outcomes} == {Strategy.SINGLE_LINE}
 
     def test_provider_waits_overlap(self):
-        class Waiting:
-            """Holds each send until a second one is in flight (or 5 s pass)."""
-
-            def __init__(self):
-                self.in_flight = 0
-                self.peak = 0
-                self.cond = threading.Condition()
-
-            def send(self, prompt, cfg, key):
-                with self.cond:
-                    self.in_flight += 1
-                    self.peak = max(self.peak, self.in_flight)
-                    self.cond.notify_all()
-                    self.cond.wait_for(lambda: self.peak >= 2, timeout=5.0)
-                    self.in_flight -= 1
-                return LlmReply(text="reply")
-
-        backend = Waiting()
+        backend = Gathering(2)
         run(synthetic_gt(6), backend, config())
         assert backend.peak >= 2
 
-    def test_serial_and_concurrent_agree(self, monkeypatch):
+    def test_serial_and_concurrent_agree(self, ordering_threads):
         doc = self.make_doc()
         replies = {"block-0": "alpha one alpha two", "block-1": "beta one beta two"}
         # 1: the caller alone orders every block; 8: the caller and 7 helpers
-        monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 1)
+        ordering_threads(1)
         serial = run(doc, ScriptedBackend(replies), config())
-        monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 8)
+        ordering_threads(8)
         concurrent = run(doc, ScriptedBackend(replies), config())
         assert serial == concurrent
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_auth_error_aborts_the_run_unwrapped(self, monkeypatch, workers):
+    def test_auth_error_aborts_the_run_unwrapped(self, ordering_threads, workers):
         class Revoked:
             def send(self, *a):
                 raise LlmAuthError("authentication rejected (HTTP 403)")
 
-        monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", workers)
+        ordering_threads(workers)
         with pytest.raises(LlmAuthError, match="HTTP 403"):
             run(self.make_doc(), Revoked(), config())
 
@@ -620,7 +654,7 @@ class TestRun:
         with pytest.raises(LlmRefusedError, match="HTTP 404"):
             run(synthetic_gt(60), HttpBackend(), config(endpoint_url=stub_server))
         # only the blocks already sending when the first refusal came back
-        assert 1 <= len(StubHandler.requests_seen) <= pipeline._BACKEND_WORKERS
+        assert 1 <= len(StubHandler.requests_seen) <= MAX_IN_FLIGHT
 
     @pytest.mark.parametrize(
         ("fault", "posts"),
@@ -692,9 +726,8 @@ class TestPoolPolicy:
         peaks = [backend.run(doc).peak for _ in range(3)]
         assert all(peak >= 2 for peak in peaks)  # the first run too: nothing is learned
 
-    def test_every_sending_block_is_timed(self, monkeypatch):
+    def test_every_sending_block_is_timed(self):
         # every sending block is timed, also under frequent thread switches
-        monkeypatch.setattr(pipeline, "_BACKEND_WORKERS", 8)
         doc = synthetic_gt(90)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -704,6 +737,49 @@ class TestPoolPolicy:
             sys.setswitchinterval(switch)
         sent = [o for o in outcomes if o.wait_s is not None]
         assert len(sent) == 60
+
+    def test_every_sending_block_is_in_flight_at_once(self):
+        doc = synthetic_gt(40)
+        doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2)[:12])
+
+        backend = Gathering(12)
+        _, outcomes = run(doc, backend, config())
+        assert backend.peak == 12
+        assert sum(o.wait_s is not None for o in outcomes) == 12
+
+    def test_interrupted_caller_stops_the_helpers(self):
+        caller = threading.get_ident()
+
+        class Interrupted(self.Delayed):
+            """Raises KeyboardInterrupt on the caller's second send."""
+
+            def __init__(self):
+                super().__init__(0.010)
+                self.sends = 0
+                self.caller_sends = 0
+
+            def send(self, prompt, cfg, key):
+                with self.lock:
+                    self.sends += 1
+                if threading.get_ident() == caller:
+                    self.caller_sends += 1
+                    if self.caller_sends == 2:
+                        raise KeyboardInterrupt
+                return super().send(prompt, cfg, key)
+
+        backend = Interrupted()
+        with pytest.raises(KeyboardInterrupt):
+            run(synthetic_gt(90), backend, config())  # 60 sending blocks
+        sends_at_raise = backend.sends
+        quiet_since = time.perf_counter()
+        while time.perf_counter() - quiet_since < 0.2:  # the helpers go quiet
+            seen = backend.sends
+            time.sleep(0.05)
+            if backend.sends != seen or backend.in_flight:
+                quiet_since = time.perf_counter()
+        # at most the blocks the helpers had already taken went on to send
+        assert backend.sends - sends_at_raise <= MAX_IN_FLIGHT - 1
+        assert backend.sends < 60
 
     def test_only_sending_blocks_record_a_wait(self, figure_doc):
         single = Document(
@@ -748,7 +824,8 @@ class TestPoolPolicy:
         assert process.exitcode == 0
 
     def test_run_does_not_wait_for_helpers_held_by_another_run(self):
-        doc = synthetic_gt(30)
+        doc = synthetic_gt(60)
+        # 20 two-line blocks: more than the sends one run keeps in flight
         doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2))
 
         class Held:
@@ -771,7 +848,7 @@ class TestPoolPolicy:
         other.start()
         try:
             with held.cond:  # the other run's caller and all its helpers are sending
-                assert held.cond.wait_for(lambda: held.in_flight == pipeline._BACKEND_WORKERS, timeout=10)
+                assert held.cond.wait_for(lambda: held.in_flight == MAX_IN_FLIGHT, timeout=10)
             small = synthetic_gt(11)
             started = time.perf_counter()
             _, outcomes = run(small, ScriptedBackend(self.replies(small)), config())
