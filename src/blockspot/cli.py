@@ -25,9 +25,10 @@ a block that violated an ordering invariant (``PipelineError``), 3 backend
 configuration errors (also a bad endpoint or key, a config, scripted
 replies or replay file that ``model.read_json`` cannot read or decode, a
 missing one included, and a replay transcript with no entries) and refused
-requests (rejected credentials, an HTTP status other than 200 and the
-retried ones): ``main`` maps every ``LlmError`` that reaches it to 3.  A
-run that fails leaves no output file.
+requests (a missing or rejected API key, an HTTP status other than 200 and
+the retried ones): ``main`` maps every ``LlmError`` that reaches it to 3.
+``HttpBackend`` refuses a missing key before its first request, so a run
+with no block to send needs none.  A run that fails leaves no output file.
 """
 
 from __future__ import annotations
@@ -74,10 +75,13 @@ def _write(path: Path, data: bytes) -> None:
 
 
 def _check_writable(path: Path) -> None:
-    if path.is_dir():
-        raise InputError(f"cannot write output {path}: it is a directory")
-    if not path.parent.is_dir():
-        raise InputError(f"cannot write output {path}: no directory {path.parent}")
+    try:
+        if path.is_dir():
+            raise InputError(f"cannot write output {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise InputError(f"cannot write output {path}: no directory {path.parent}")
+    except OSError as e:  # such as a name too long for the file system
+        raise InputError(f"cannot write output: {e}") from e
 
 
 # The LlmConfig fields that a flag or a config key may set, in echo order.
@@ -146,10 +150,6 @@ def _make_backend(settings: Settings) -> LlmBackend | None:
     if kind == "geometric-only":
         return None
     if kind == "http":
-        if not settings.llm.api_key:
-            raise BackendConfigError(
-                "http backend needs an API key; set BLOCKSPOT_API_KEY"
-            )
         return HttpBackend()
     if kind in ("scripted", "replay") and not arg:
         raise BackendConfigError(f"{kind} backend needs a path: {kind}:FILE")

@@ -8,7 +8,6 @@ axis-aligned rectangles.
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple, Sequence
 
 Point = tuple[float, float]
@@ -84,16 +83,14 @@ def snap_rotation(vertices: Sequence[Point]) -> float:
         length = math.hypot(dx, dy)
         if length < 1e-9:
             continue
-        # the angle matters only to an edge that becomes or ties the best
-        better = length > best_len + 1e-9 or best_angle is None
-        if not (better or abs(length - best_len) <= 1e-9):
-            continue
         angle = math.degrees(math.atan2(dy, dx))
         if angle <= -90.0:
             angle += 180.0
         elif angle > 90.0:
             angle -= 180.0
-        if better or (abs(angle), -angle) < (abs(best_angle), -best_angle):
+        if best_angle is None or length > best_len + 1e-9 or (
+            abs(length - best_len) <= 1e-9 and (abs(angle), -angle) < (abs(best_angle), -best_angle)
+        ):
             best_len = length
             best_angle = angle
     if best_angle is None:
@@ -145,14 +142,7 @@ def split_for_recognizer(rect: AlignedRect) -> list[AlignedRect]:
         return [rect]
     starts = [x_min + width * i / n for i in range(n)]
     ends = starts[1:] + [x_max]
-    # tuple.__new__ skips the constructor's check.  n > 1 needs a width and
-    # height of one sign, so the edges alone tell whether a part is empty,
-    # and then the constructor names the first one.
-    parts = [tuple.__new__(AlignedRect, (a, y_min, b, y_max)) for a, b in zip(starts, ends)]
-    if not all(map(operator.lt, starts, ends)):
-        for part in parts:
-            AlignedRect(*part)
-    return parts
+    return [AlignedRect(a, y_min, b, y_max) for a, b in zip(starts, ends)]
 
 
 def rect_iou(a: AlignedRect, b: AlignedRect) -> float:

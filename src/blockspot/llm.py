@@ -5,7 +5,10 @@ HTTP client, a scripted mock keyed by block identifier (for offline tests),
 and a transcript replay that re-serves recorded replies.  The module-level
 :func:`complete` adds retry-with-backoff around transient failures and is
 the one judge of a reply; :func:`fits_context` implements the context-length
-check that decides whether a block can be sent to the LLM at all.
+check that decides whether a block can be sent to the LLM at all.  A caller
+acts on three outcomes of a send: :class:`LlmTransientError` is retried,
+:class:`LlmRefusedError` aborts the run, and any other :class:`LlmError`
+leaves the block to the geometric order.
 
 Token counts are estimated as ceil(characters / 4).  That deliberately
 overestimates for most tokenizers, which can only push borderline blocks
@@ -19,7 +22,6 @@ import json
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Protocol
@@ -35,6 +37,8 @@ DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 # Requests one pipeline run keeps in flight at most.  pipeline.run's helper
 # threads and HttpBackend's connection pool are both sized from it.
 MAX_IN_FLIGHT = 16
+# The stop of a caller that has none: never set, so a backoff waits in full.
+_NEVER_STOP = threading.Event()
 
 
 class LlmError(Exception):
@@ -46,23 +50,16 @@ class LlmTransientError(LlmError):
 
 
 class LlmRefusedError(LlmError):
-    """The provider refused the request (credentials, model, endpoint).
+    """The request is refused: missing or rejected credentials, an unknown
+    model or endpoint.
 
     Every other block would be refused too, so this is never retried and
     never degraded to a per-block fallback.
     """
 
 
-class LlmAuthError(LlmRefusedError):
-    """Missing or rejected credentials."""
-
-
 class LlmRequestError(LlmError):
-    """The request itself is invalid (bad model, missing script key, ...)."""
-
-
-class LlmTruncatedError(LlmError):
-    """The provider stopped early; the reply cannot be trusted."""
+    """No usable reply (truncated, blank, malformed, none on file), or an unloadable backend file."""
 
 
 @dataclass(frozen=True)
@@ -114,19 +111,26 @@ def fits_context(prompt: ChatPrompt, config: LlmConfig) -> bool:
 
 
 def complete(
-    backend: LlmBackend, prompt: ChatPrompt, config: LlmConfig, key: str = ""
+    backend: LlmBackend,
+    prompt: ChatPrompt,
+    config: LlmConfig,
+    key: str = "",
+    stop: threading.Event | None = None,
 ) -> str:
     """Run one completion with retries on transient failures; return its text.
 
     This is the only place a reply is rejected: a truncated reply, one that
     is blank after stripping, or one holding a lone surrogate raises, so
-    callers can fall back.  The accepted text comes back stripped.
+    callers can fall back.  The accepted text comes back stripped.  Once
+    ``stop`` is set, a backoff ends at once and no retry is sent.
     """
     attempts = config.max_retries + 1
     last: LlmTransientError | None = None
     for attempt in range(attempts):
         if attempt:
-            time.sleep(config.retry_backoff * 2 ** (attempt - 1))
+            delay = config.retry_backoff * 2 ** (attempt - 1)
+            if (stop or _NEVER_STOP).wait(delay):
+                raise LlmTransientError(f"stopped after {attempt} attempts: {last}")
         try:
             reply = backend.send(prompt, config, key)
         except LlmTransientError as e:
@@ -134,7 +138,7 @@ def complete(
             continue
         text = reply.text.strip()
         if reply.truncated:
-            raise LlmTruncatedError(f"reply truncated after {len(text)} chars (key={key!r})")
+            raise LlmRequestError(f"reply truncated after {len(text)} chars (key={key!r})")
         if not text:
             raise LlmRequestError(f"backend returned an empty reply (key={key!r})")
         if LONE_SURROGATE.search(text):
@@ -146,8 +150,9 @@ def complete(
 class HttpBackend:
     """OpenAI-style chat-completions client over plain HTTP; thread-safe.
 
-    An unusable ``endpoint_url`` or API key is refused; every other transport
-    fault is transient, and a reply whose content is not a string is malformed.
+    A missing or unusable API key or ``endpoint_url`` is refused before a
+    request goes out; every other transport fault is transient, and a reply
+    whose content is not a string is malformed.
     A session made here keeps up to :data:`MAX_IN_FLIGHT` connections per
     host; a session passed in is used as it is.
     """
@@ -170,7 +175,7 @@ class HttpBackend:
         from requests.exceptions import InvalidHeader, InvalidSchema, InvalidURL, MissingSchema
 
         if not config.api_key:
-            raise LlmAuthError(f"no API key; set {API_KEY_ENV} or config.api_key")
+            raise LlmRefusedError(f"no API key; set {API_KEY_ENV} or config.api_key")
         payload = {
             "model": config.model,
             "messages": [
@@ -194,7 +199,7 @@ class HttpBackend:
         except requests.RequestException as e:  # timeouts, drops, bodies cut off
             raise LlmTransientError(str(e)) from e
         if response.status_code in self.AUTH_STATUS:
-            raise LlmAuthError(f"authentication rejected (HTTP {response.status_code})")
+            raise LlmRefusedError(f"authentication rejected (HTTP {response.status_code})")
         if response.status_code in self.RETRYABLE_STATUS:
             raise LlmTransientError(f"HTTP {response.status_code}")
         if response.status_code != 200:

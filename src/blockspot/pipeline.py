@@ -213,14 +213,16 @@ def order_block(
     backend: LlmBackend | None,
     config: LlmConfig,
     block_index: int = 0,
+    stop: threading.Event | None = None,
 ) -> OrderingOutcome:
     """Produce the text for one block.
 
     Backend failures degrade the block to the geometric order, except
-    :class:`LlmRefusedError` (rejected credentials, unknown model or
-    endpoint), which no other block could escape either and therefore
-    propagates.  A block that sent a request records how long the send
-    waited in ``wait_s``.
+    :class:`LlmRefusedError` (missing or rejected credentials, unknown
+    model or endpoint), which no other block could escape either and
+    therefore propagates.  A set ``stop`` ends a retry backoff at once (see
+    :func:`complete`).  A block that sent a request records how long the
+    send waited in ``wait_s``.
     """
     if len(block.line_ids) == 1:
         line = doc.line_by_id(block.line_ids[0])
@@ -242,7 +244,7 @@ def order_block(
     else:
         wall, cpu = time.perf_counter(), time.thread_time()
         try:
-            reply = complete(backend, prompt, config, key=block_key(block_index))
+            reply = complete(backend, prompt, config, key=block_key(block_index), stop=stop)
         except LlmRefusedError:
             raise
         except LlmError:
@@ -284,11 +286,12 @@ def run(
     cancels the helpers that never started and waits only for those that
     did, never for ones queued behind another run.  Results are merged back
     in block order, so a deterministic backend gives a deterministic
-    output.  An :class:`LlmRefusedError` from any block stops the blocks not
-    yet started and is re-raised as is; other exceptions are invariant
-    violations, gathered into one :class:`PipelineError`.  Anything that
-    escapes the caller's own blocks, such as ``KeyboardInterrupt``, stops
-    the helpers before their next block and is re-raised at once.
+    output.  An :class:`LlmRefusedError` from any block stops the run, so
+    that no block starts and no send is retried after it, and is re-raised
+    as is; other exceptions are invariant violations, gathered into one
+    :class:`PipelineError`.  Anything that escapes the caller's own blocks,
+    such as ``KeyboardInterrupt``, stops the helpers the same way and is
+    re-raised at once.
     """
     blocks = list(doc.blocks)
     blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
@@ -309,7 +312,7 @@ def run(
                     if todo and not (helpers and _waiting(helpers[-1])):
                         helpers.append(_HELPERS.submit(work))
             try:
-                results[index] = order_block(doc, block, backend, config, block_index=index)
+                results[index] = order_block(doc, block, backend, config, block_index=index, stop=stop)
             except Exception as e:  # refused requests and bugs; reported after the merge
                 if isinstance(e, LlmRefusedError):
                     stop.set()

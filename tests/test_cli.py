@@ -89,11 +89,32 @@ class TestOrder:
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_http_without_key_exits_3(self, tmp_path, sign_fixture, monkeypatch):
+    def test_http_without_key_exits_3(self, tmp_path, sign_fixture, stub_server, monkeypatch, capsys):
         monkeypatch.delenv("BLOCKSPOT_API_KEY", raising=False)
         doc_path, _ = sign_fixture
-        code = main(["order", str(doc_path), "--backend", "http", "--out", str(tmp_path / "o.json")])
-        assert code == 3
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"endpoint_url": stub_server}))
+        out = tmp_path / "out" / "o.json"
+        out.parent.mkdir()
+        argv = ["order", str(doc_path), "--backend", "http", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 3
+        assert "BLOCKSPOT_API_KEY" in capsys.readouterr().err
+        assert StubHandler.requests_seen == []
+        assert list(out.parent.iterdir()) == []
+
+    def test_http_without_key_orders_single_lines(self, tmp_path, stub_server, monkeypatch):
+        # no block can send, so no key is needed
+        monkeypatch.delenv("BLOCKSPOT_API_KEY", raising=False)
+        doc_path = tmp_path / "singles.json"
+        save_document(sign_doc().with_blocks(()), doc_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"endpoint_url": stub_server}))
+        out = tmp_path / "o.json"
+        argv = ["order", str(doc_path), "--backend", "http", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        assert StubHandler.requests_seen == []
+        outcomes = json.loads(out.with_suffix(".outcomes.json").read_text())["outcomes"]
+        assert [o["strategy"] for o in outcomes] == ["single_line"] * 2
 
     def test_rejected_credentials_exit_3_without_output(
         self, tmp_path, sign_fixture, stub_server, monkeypatch, capsys
@@ -399,6 +420,7 @@ class TestBadPaths:
         [
             pytest.param("{tmp}/missing_dir/o.json", id="no-parent"),
             pytest.param("{tmp}", id="is-a-directory"),
+            pytest.param("{tmp}/" + "o" * 300 + ".json", id="name-too-long"),
             pytest.param(  # passes the path checks; the write itself fails, after --out's
                 "/dev/full",
                 id="device-full",
@@ -416,7 +438,10 @@ class TestBadPaths:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("out", [".", "/", "{tmp}"], ids=["dot", "root", "directory"])
+    @pytest.mark.parametrize(
+        "out", [".", "/", "{tmp}", "{tmp}/" + "o" * 300 + ".json"],
+        ids=["dot", "root", "directory", "name-too-long"],
+    )
     def test_out_without_a_file_name_exits_2(
         self, tmp_path, sign_fixture, capsys, monkeypatch, out
     ):
@@ -750,7 +775,9 @@ FUZZ_INPUTS = [
     "{tmp}/empty.json", "{tmp}/missing.json", "{tmp}/nodir/x.json", "{tmp}", ".", "",
     "{tmp}/nan-width.json", "{tmp}/long-width.json",
 ]
-FUZZ_OUTPUTS = ["{out}/o.json", "{out}/r.json", "{tmp}/nodir/o.json", "{out}", ".", "/", ""]
+FUZZ_OUTPUTS = [
+    "{out}/o.json", "{out}/r.json", "{tmp}/nodir/o.json", "{out}", ".", "/", "", "{out}/" + "o" * 300,
+]
 FUZZ_CONFIG_PATHS = [f"{{tmp}}/cfg-{name}.json" for name in FUZZ_CONFIGS] + ["{tmp}/missing.json", "{tmp}"]
 FUZZ_BACKENDS = [
     "geometric-only", "http", "scripted:{tmp}/replies.json", "scripted:{tmp}/broken.json",

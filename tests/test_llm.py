@@ -19,14 +19,12 @@ from conftest import StubHandler, ok_reply, sign_doc
 from blockspot.llm import (
     MAX_IN_FLIGHT,
     HttpBackend,
-    LlmAuthError,
     LlmConfig,
     LlmError,
     LlmRefusedError,
     LlmReply,
     LlmRequestError,
     LlmTransientError,
-    LlmTruncatedError,
     ReplayBackend,
     ScriptedBackend,
     TranscriptRecorder,
@@ -173,7 +171,7 @@ class TestRetries:
             def send(self, *a):
                 return LlmReply(text=" ", truncated=True)
 
-        with pytest.raises(LlmTruncatedError):
+        with pytest.raises(LlmRequestError, match="truncated"):
             complete(Empty(), PROMPT, config(), key="k")
 
     @pytest.mark.parametrize("text", ["", " \n\t"], ids=["empty", "whitespace"])
@@ -279,7 +277,7 @@ class TestHttpBackend:
     def test_missing_api_key_fails_without_network(self):
         backend = HttpBackend()
         cfg = LlmConfig(api_key="", retry_backoff=0.0)
-        with pytest.raises(LlmAuthError, match="BLOCKSPOT_API_KEY"):
+        with pytest.raises(LlmRefusedError, match="BLOCKSPOT_API_KEY"):
             complete(backend, PROMPT, cfg, key="k")
 
     def test_success_and_payload_shape(self, stub_server):
@@ -302,7 +300,7 @@ class TestHttpBackend:
     def test_auth_rejection_not_retried(self, stub_server):
         StubHandler.script = [(401, {"error": "nope"})]
         cfg = config(endpoint_url=stub_server)
-        with pytest.raises(LlmAuthError):
+        with pytest.raises(LlmRefusedError, match="HTTP 401"):
             complete(HttpBackend(), PROMPT, cfg, key="k")
         assert len(StubHandler.requests_seen) == 1
 
@@ -316,7 +314,7 @@ class TestHttpBackend:
     def test_truncated_reply_raises(self, stub_server):
         StubHandler.script = [(200, ok_reply("cut off mid", finish="length"))]
         cfg = config(endpoint_url=stub_server)
-        with pytest.raises(LlmTruncatedError):
+        with pytest.raises(LlmRequestError, match="truncated"):
             complete(HttpBackend(), PROMPT, cfg, key="k")
 
     @pytest.mark.parametrize("content", [None, " "], ids=["null", "blank"])
@@ -382,7 +380,6 @@ class TestHttpBackend:
 
 class TestReplyInvariant:
     def test_llm_error_hierarchy(self):
-        for cls in (LlmTransientError, LlmAuthError, LlmRequestError, LlmTruncatedError):
+        for cls in (LlmTransientError, LlmRefusedError, LlmRequestError):
             assert issubclass(cls, LlmError)
-        assert issubclass(LlmAuthError, LlmRefusedError)
         assert not issubclass(LlmRequestError, LlmRefusedError)

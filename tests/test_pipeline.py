@@ -31,12 +31,10 @@ from blockspot.geometry import (
 from blockspot.llm import (
     MAX_IN_FLIGHT,
     HttpBackend,
-    LlmAuthError,
     LlmConfig,
     LlmRefusedError,
     LlmReply,
     LlmTransientError,
-    LlmTruncatedError,
     ReplayBackend,
     ScriptedBackend,
     TranscriptRecorder,
@@ -456,7 +454,7 @@ class TestOrderBlock:
     def test_truncated_reply_falls_back(self, figure_doc):
         class Truncating:
             def send(self, *a):
-                raise LlmTruncatedError("cut off")
+                return LlmReply(text="x", truncated=True)
 
         outcome = order_block(figure_doc, figure_doc.blocks[0], Truncating(), config(), 0)
         assert outcome.strategy is Strategy.GEOMETRIC_FALLBACK_ERROR
@@ -464,9 +462,9 @@ class TestOrderBlock:
     def test_auth_error_propagates(self, figure_doc):
         class Revoked:
             def send(self, *a):
-                raise LlmAuthError("authentication rejected (HTTP 401)")
+                raise LlmRefusedError("authentication rejected (HTTP 401)")
 
-        with pytest.raises(LlmAuthError):
+        with pytest.raises(LlmRefusedError):
             order_block(figure_doc, figure_doc.blocks[0], Revoked(), config(), 0)
 
     def test_context_overflow_never_calls_backend(self, figure_doc):
@@ -637,10 +635,10 @@ class TestRun:
     def test_auth_error_aborts_the_run_unwrapped(self, ordering_threads, workers):
         class Revoked:
             def send(self, *a):
-                raise LlmAuthError("authentication rejected (HTTP 403)")
+                raise LlmRefusedError("authentication rejected (HTTP 403)")
 
         ordering_threads(workers)
-        with pytest.raises(LlmAuthError, match="HTTP 403"):
+        with pytest.raises(LlmRefusedError, match="HTTP 403"):
             run(self.make_doc(), Revoked(), config())
 
     def test_refused_request_aborts_the_run_unwrapped(self, stub_server):
@@ -655,6 +653,34 @@ class TestRun:
             run(synthetic_gt(60), HttpBackend(), config(endpoint_url=stub_server))
         # only the blocks already sending when the first refusal came back
         assert 1 <= len(StubHandler.requests_seen) <= MAX_IN_FLIGHT
+
+    def test_refusal_ends_the_retry_backoffs(self):
+        class RefusedAmidRetries:
+            """Refuses ``block-3`` after 50 ms; every other send fails transiently."""
+
+            def __init__(self):
+                self.starts = []
+                self.refused_at = None
+                self.lock = threading.Lock()
+
+            def send(self, prompt, cfg, key):
+                with self.lock:
+                    self.starts.append(time.perf_counter())
+                if key == "block-3":
+                    time.sleep(0.050)
+                    self.refused_at = time.perf_counter()
+                    raise LlmRefusedError("request refused (HTTP 404)")
+                raise LlmTransientError("provider unavailable")
+
+        doc = synthetic_gt(30)
+        doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2)[:8])
+        backend = RefusedAmidRetries()
+        began = time.perf_counter()
+        with pytest.raises(LlmRefusedError, match="HTTP 404"):
+            run(doc, backend, config(max_retries=3, retry_backoff=0.5))
+        assert time.perf_counter() - began < 0.5  # under one backoff
+        assert len(backend.starts) <= 8  # no retry
+        assert max(backend.starts) < backend.refused_at
 
     @pytest.mark.parametrize(
         ("fault", "posts"),
@@ -751,7 +777,8 @@ class TestPoolPolicy:
         caller = threading.get_ident()
 
         class Interrupted(self.Delayed):
-            """Raises KeyboardInterrupt on the caller's second send."""
+            """Fails each send transiently; raises KeyboardInterrupt on the
+            caller's second send, its first retry."""
 
             def __init__(self):
                 super().__init__(0.010)
@@ -765,11 +792,12 @@ class TestPoolPolicy:
                     self.caller_sends += 1
                     if self.caller_sends == 2:
                         raise KeyboardInterrupt
-                return super().send(prompt, cfg, key)
+                super().send(prompt, cfg, key)
+                raise LlmTransientError("provider unavailable")
 
         backend = Interrupted()
-        with pytest.raises(KeyboardInterrupt):
-            run(synthetic_gt(90), backend, config())  # 60 sending blocks
+        with pytest.raises(KeyboardInterrupt):  # 60 sending blocks
+            run(synthetic_gt(90), backend, config(max_retries=3, retry_backoff=0.05))
         sends_at_raise = backend.sends
         quiet_since = time.perf_counter()
         while time.perf_counter() - quiet_since < 0.2:  # the helpers go quiet
