@@ -13,10 +13,17 @@ line's ``box.bounds``.
 from __future__ import annotations
 
 import enum
-from statistics import median
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import Line
+
+
+def _median(values: Iterable[float]) -> float:
+    """The middle value, or the mean of the two middle values of an even
+    count: the same float ``statistics.median`` returns."""
+    data = sorted(values)
+    i = len(data) // 2
+    return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
 
 
 class OrderingMode(enum.Enum):
@@ -32,7 +39,7 @@ def choose_mode(lines: Sequence[Line]) -> OrderingMode:
     """
     if not lines:
         raise ValueError("no lines to order")
-    aspect = median(line.box.bounds.width / line.box.bounds.height for line in lines)
+    aspect = _median(line.box.bounds.width / line.box.bounds.height for line in lines)
     return OrderingMode.TTB_LTR if aspect >= 1.0 else OrderingMode.LTR_TTB
 
 
@@ -51,11 +58,11 @@ def geometric_order(lines: Sequence[Line]) -> list[int]:
     if choose_mode(lines) is OrderingMode.TTB_LTR:
         along = [rect.center[1] for rect in rects]  # cluster on y
         across = [rect.x_min for rect in rects]  # read rows by x
-        threshold = 0.5 * median(rect.height for rect in rects)
+        threshold = 0.5 * _median(rect.height for rect in rects)
     else:
         along = [rect.center[0] for rect in rects]
         across = [rect.y_min for rect in rects]
-        threshold = 0.5 * median(rect.width for rect in rects)
+        threshold = 0.5 * _median(rect.width for rect in rects)
 
     ids = [line.id for line in lines]
 

@@ -17,7 +17,6 @@ toward the geometric fallback, never past the provider's real limit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -241,6 +240,13 @@ class ScriptedBackend:
 
 
 def prompt_fingerprint(prompt: ChatPrompt) -> str:
+    """The sha256 of the system and user text, which keys a transcript entry.
+
+    Only replay and recording hash a prompt, so ``hashlib`` is imported here
+    and a run without a transcript never loads it.
+    """
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(prompt.system.encode("utf-8"))
     digest.update(b"\x00")

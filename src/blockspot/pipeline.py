@@ -28,9 +28,8 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence
 
 from .geo_order import geometric_order
 from .geometry import (
@@ -53,20 +52,38 @@ from .llm import (
 from .model import Block, Document, Line
 from .prompting import ChatPrompt, build_prompt, length_guard
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
+
 
 # A run's blocks in flight at once: the caller and up to MAX_IN_FLIGHT - 1
 # helpers, each submitted by a thread about to wait on a send.  Only
 # provider waits overlap, because the GIL serializes the pure-Python work
-# around them.  The helpers are shared by every run and started once; a
-# forked child has none of its parent's threads, so it starts its own.
-def _start_helpers() -> None:
+# around them.  The helpers are shared by every run.  Their executor, and
+# with it concurrent.futures, is made on the process's first hand-off, so a
+# process that never hands off loads neither.  A forked child has none of
+# its parent's threads, so it forgets the executor and makes its own.
+_HELPERS: ThreadPoolExecutor | None = None
+_HELPERS_LOCK = threading.Lock()
+
+
+def _helpers() -> ThreadPoolExecutor:
     global _HELPERS
-    _HELPERS = ThreadPoolExecutor(MAX_IN_FLIGHT - 1, thread_name_prefix="blockspot-helper")
+    with _HELPERS_LOCK:
+        if _HELPERS is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _HELPERS = ThreadPoolExecutor(MAX_IN_FLIGHT - 1, thread_name_prefix="blockspot-helper")
+        return _HELPERS
 
 
-_start_helpers()
+def _forget_helpers() -> None:
+    global _HELPERS, _HELPERS_LOCK
+    _HELPERS, _HELPERS_LOCK = None, threading.Lock()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_helpers)
+    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 class PipelineError(RuntimeError):
@@ -87,8 +104,8 @@ class OrderingOutcome:
     """How one block's text was produced.
 
     ``wait_s`` is set on the blocks that sent a request: the wall time of
-    the send, retries included, minus the CPU time its thread spent.
-    ``==`` ignores it.
+    the send, retries included, minus the CPU time its thread spent, and
+    never below 0.0.  ``==`` ignores it.
     """
 
     block_ref: int
@@ -242,14 +259,16 @@ def order_block(
     elif not fits_context(prompt := build_prompt(texts, bounds), config):
         strategy = Strategy.GEOMETRIC_FALLBACK_CONTEXT
     else:
-        wall, cpu = time.perf_counter(), time.thread_time()
+        wall = time.perf_counter()  # read first and last, so the CPU span lies inside the wall span
+        cpu = time.thread_time()
         try:
             reply = complete(backend, prompt, config, key=block_key(block_index), stop=stop)
         except LlmRefusedError:
             raise
         except LlmError:
             reply = None
-        wait_s = time.perf_counter() - wall - (time.thread_time() - cpu)
+        cpu = time.thread_time() - cpu
+        wait_s = max(0.0, time.perf_counter() - wall - cpu)
         if reply is None:
             strategy = Strategy.GEOMETRIC_FALLBACK_ERROR
         else:
@@ -310,7 +329,7 @@ def run(
             if backend is not None and len(block.line_ids) > 1:
                 with handoff:  # before this thread waits on a send, one more takes the queue
                     if todo and not (helpers and _waiting(helpers[-1])):
-                        helpers.append(_HELPERS.submit(work))
+                        helpers.append(_helpers().submit(work))
             try:
                 results[index] = order_block(doc, block, backend, config, block_index=index, stop=stop)
             except Exception as e:  # refused requests and bugs; reported after the merge

@@ -42,18 +42,30 @@ class ChatPrompt:
         return len(self.system) + len(self.user)
 
 
-def _load_template() -> tuple[str, str]:
-    raw = resources.files(__package__).joinpath(_TEMPLATE_RESOURCE).read_text("utf-8")
+def _load_template(raw: str) -> tuple[str, tuple[str, str, str]]:
+    """The system text, and the user text cut at its two placeholders.
+
+    The user text must hold ``{{LINES}}`` once and then ``{{BOXES}}`` once;
+    cutting it once here means a line text that holds a placeholder is
+    never rewritten.
+    """
     head, _, rest = raw.partition("[system]\n")
     if head:
         raise ValueError("template must start with [system]")
     system, sep, user = rest.partition("[user]\n")
     if not sep:
         raise ValueError("template is missing the [user] section")
-    return system.strip("\n"), user.strip("\n")
+    before, lines_sep, rest = user.strip("\n").partition("{{LINES}}")
+    between, boxes_sep, after = rest.partition("{{BOXES}}")
+    parts = (before, between, after)
+    if not (lines_sep and boxes_sep) or any("{{LINES}}" in p or "{{BOXES}}" in p for p in parts):
+        raise ValueError("the [user] section must hold {{LINES}} once, then {{BOXES}} once")
+    return system.strip("\n"), parts
 
 
-_SYSTEM_TEXT, _USER_TEMPLATE = _load_template()
+_SYSTEM_TEXT, _USER_PARTS = _load_template(
+    resources.files(__package__).joinpath(_TEMPLATE_RESOURCE).read_text("utf-8")
+)
 
 
 def render_lines_literal(texts: list[str]) -> str:
@@ -86,9 +98,8 @@ def render_boxes_literal(bounds: list[AlignedRect]) -> str:
 def build_prompt(texts: list[str], bounds: list[AlignedRect]) -> ChatPrompt:
     """Deterministically render the prompt for line texts and their bounds,
     in geometric order; same input, same bytes."""
-    user = _USER_TEMPLATE.replace("{{LINES}}", render_lines_literal(texts)).replace(
-        "{{BOXES}}", render_boxes_literal(bounds)
-    )
+    before, between, after = _USER_PARTS
+    user = before + render_lines_literal(texts) + between + render_boxes_literal(bounds) + after
     return ChatPrompt(system=_SYSTEM_TEXT, user=user)
 
 

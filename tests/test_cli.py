@@ -871,12 +871,16 @@ class TestArgvFuzz:
             assert list(out.iterdir()) == []  # a failed run leaves no output
 
 
-def test_import_leaves_requests_and_difflib_unloaded():
-    # an offline run never pays for the HTTP stack, and no kernel uses difflib
+def test_import_loads_only_what_every_command_uses():
+    # an offline run never pays for the HTTP stack, and no kernel uses
+    # difflib; hashlib loads with the first transcript hash, and
+    # concurrent.futures with the first hand-off to a helper thread.  -S
+    # keeps a site .pth file from loading any of them first.
     src = str(Path(blockspot.__file__).resolve().parent.parent)
-    code = "import sys, blockspot, blockspot.cli; print(sorted({'requests', 'difflib'} & set(sys.modules)))"
+    lazy = {"requests", "difflib", "statistics", "hashlib", "concurrent.futures"}
+    code = f"import sys, blockspot, blockspot.cli; print(sorted({lazy!r} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockspot.geo_order import OrderingMode, choose_mode, geometric_order
+from blockspot.geo_order import OrderingMode, _median, choose_mode, geometric_order
 from blockspot.geometry import AlignedRect, quad_bounds
 from blockspot.model import Line, Quad
 
@@ -226,3 +226,19 @@ class TestGeometricOrder:
             for i, (x, y, w, h) in enumerate(boxes)
         ]
         assert geometric_order(lines) == union_find_order(lines)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5]),  # duplicates and both zeros
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_median_matches_statistics_median(values):
+    # repr tells -0.0 from 0.0; odd and even counts both occur
+    assert repr(_median(values)) == repr(median(values))

@@ -832,6 +832,60 @@ class TestPoolPolicy:
         sent = order_block(figure_doc, block, self.Delayed(0.020), config(), 0)
         assert sent.wait_s >= 0.015
 
+    def test_instant_sends_never_wait_below_zero(self, figure_doc):
+        block = figure_doc.blocks[0]
+        backend = ScriptedBackend({block_key(0): "20 REASONS TO LOVE CYCLING"})
+        waits = [order_block(figure_doc, block, backend, config(), 0).wait_s for _ in range(300)]
+        assert min(waits) >= 0.0
+
+    def test_concurrent_first_runs_make_one_executor(self, monkeypatch):
+        made = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                time.sleep(0.05)  # widen the window in which a second run could make one too
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(pipeline, "_HELPERS", None)
+        doc = synthetic_gt(9)
+        start = threading.Barrier(8)
+
+        def first_run():
+            start.wait(timeout=10)
+            self.Delayed(0.005).run(doc)
+
+        threads = [threading.Thread(target=first_run) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            for pool in made:
+                pool.shutdown()
+        assert len(made) == 1
+        assert pipeline._HELPERS is made[0]
+
+    def test_forked_child_of_a_process_that_never_handed_off(self, monkeypatch):
+        # no executor yet, and the lock that guards making one held at the fork
+        monkeypatch.setattr(pipeline, "_HELPERS", None)
+        doc = synthetic_gt(11)
+
+        def child():
+            assert self.Delayed(0.005).run(doc).peak >= 2
+
+        with pipeline._HELPERS_LOCK:
+            process = multiprocessing.get_context("fork").Process(target=child)
+            process.start()
+        process.join(timeout=30)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the forked child's run hung")
+        assert process.exitcode == 0
+
     def test_forked_child_completes_a_run(self):
         # the child inherits the helper pool but none of its threads
         doc = synthetic_gt(11)
