@@ -127,7 +127,7 @@ def complete(
     last: LlmTransientError | None = None
     for attempt in range(attempts):
         if attempt:
-            delay = config.retry_backoff * 2 ** (attempt - 1)
+            delay = math.ldexp(config.retry_backoff, attempt - 1)
             if (stop or _NEVER_STOP).wait(delay):
                 raise LlmTransientError(f"stopped after {attempt} attempts: {last}")
         try:

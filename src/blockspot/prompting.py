@@ -4,10 +4,10 @@ The user prompt is a code-interleaved task: one Python function definition
 whose body mixes real control flow with natural-language instructions, and
 one call to it carrying the block's line texts and integer boxes as
 arguments; the boxes are the lines' bounds anchored at the block minimum
-and rounded to whole pixels.  The wording lives in ``prompt_template.txt``
-(placeholders ``{{LINES}}`` and ``{{BOXES}}``) and is frozen by golden
-tests; the system prompt suppresses commentary and forces a best-effort
-answer.
+and rounded to whole pixels.  The wording is this module's string
+constants, which :func:`build_prompt` joins around the two rendered
+literals, and golden tests freeze it; the system prompt suppresses
+commentary and forces a best-effort answer.
 
 Also provides the output-length guard: the expected output is the
 space-joined concatenation of the line texts, and a reply shorter than
@@ -19,11 +19,40 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 from .geometry import AlignedRect
 
-_TEMPLATE_RESOURCE = "prompt_template.txt"
+_SYSTEM_TEXT = """\
+You respond with only the final answer string: no explanations, no quotes,
+no code, no labels, no extra words. Always give an answer; if you are not
+sure, give the best possible answer for the input you were given."""
+
+# the user text is these two ends around ``<lines literal>, <boxes literal>``
+_USER_BEFORE = """\
+Below is a Python function definition followed by a single call to it.
+Work out what the call returns.
+
+def your_task(lines, boxes):
+    # lines is a list of strings: the text of each detected line from one
+    # block of text found in a photo, in no particular order.
+    # boxes is a list of [x_min, y_min, x_max, y_max] integer pixel
+    # boxes; boxes[i] is where lines[i] sits on the image.
+    if a meaningful reading order of the lines exists:
+        # Prefer meaning over position, and fix obvious recognition
+        # mistakes in the text if the meaningful order reveals them.
+        answer = the lines joined by single spaces in that meaningful order
+    else:
+        # No order of the lines reads meaningfully. Fall back to position:
+        # order the lines top-to-bottom left-to-right, or left-to-right
+        # top-to-bottom, whichever suits the boxes better.
+        answer = the lines joined by single spaces in the position order
+    return answer
+
+your_task("""
+
+_USER_AFTER = """)
+
+Reply with exactly the string returned by your_task and nothing else."""
 
 
 @dataclass(frozen=True)
@@ -40,32 +69,6 @@ class ChatPrompt:
     @property
     def total_chars(self) -> int:
         return len(self.system) + len(self.user)
-
-
-def _load_template(raw: str) -> tuple[str, tuple[str, str, str]]:
-    """The system text, and the user text cut at its two placeholders.
-
-    The user text must hold ``{{LINES}}`` once and then ``{{BOXES}}`` once;
-    cutting it once here means a line text that holds a placeholder is
-    never rewritten.
-    """
-    head, _, rest = raw.partition("[system]\n")
-    if head:
-        raise ValueError("template must start with [system]")
-    system, sep, user = rest.partition("[user]\n")
-    if not sep:
-        raise ValueError("template is missing the [user] section")
-    before, lines_sep, rest = user.strip("\n").partition("{{LINES}}")
-    between, boxes_sep, after = rest.partition("{{BOXES}}")
-    parts = (before, between, after)
-    if not (lines_sep and boxes_sep) or any("{{LINES}}" in p or "{{BOXES}}" in p for p in parts):
-        raise ValueError("the [user] section must hold {{LINES}} once, then {{BOXES}} once")
-    return system.strip("\n"), parts
-
-
-_SYSTEM_TEXT, _USER_PARTS = _load_template(
-    resources.files(__package__).joinpath(_TEMPLATE_RESOURCE).read_text("utf-8")
-)
 
 
 def render_lines_literal(texts: list[str]) -> str:
@@ -98,8 +101,7 @@ def render_boxes_literal(bounds: list[AlignedRect]) -> str:
 def build_prompt(texts: list[str], bounds: list[AlignedRect]) -> ChatPrompt:
     """Deterministically render the prompt for line texts and their bounds,
     in geometric order; same input, same bytes."""
-    before, between, after = _USER_PARTS
-    user = before + render_lines_literal(texts) + between + render_boxes_literal(bounds) + after
+    user = f"{_USER_BEFORE}{render_lines_literal(texts)}, {render_boxes_literal(bounds)}{_USER_AFTER}"
     return ChatPrompt(system=_SYSTEM_TEXT, user=user)
 
 

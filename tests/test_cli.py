@@ -874,10 +874,21 @@ class TestArgvFuzz:
 def test_import_loads_only_what_every_command_uses():
     # an offline run never pays for the HTTP stack, and no kernel uses
     # difflib; hashlib loads with the first transcript hash, and
-    # concurrent.futures with the first hand-off to a helper thread.  -S
-    # keeps a site .pth file from loading any of them first.
+    # concurrent.futures with the first hand-off to a helper thread.  The
+    # package reads no data files, so importlib.resources (with zipfile and
+    # tempfile) never loads.  -S keeps a site .pth file from loading any of
+    # them first.
     src = str(Path(blockspot.__file__).resolve().parent.parent)
-    lazy = {"requests", "difflib", "statistics", "hashlib", "concurrent.futures"}
+    lazy = {
+        "requests",
+        "difflib",
+        "statistics",
+        "hashlib",
+        "concurrent.futures",
+        "importlib.resources",
+        "zipfile",
+        "tempfile",
+    }
     code = f"import sys, blockspot, blockspot.cli; print(sorted({lazy!r} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -142,6 +142,14 @@ class TestRetries:
             complete(backend, PROMPT, config(max_retries=2), key="k")
         assert backend.calls == 3
 
+    def test_backoff_doubling_never_overflows(self):
+        # 2 ** 1024 is past the largest float; a zero backoff must still
+        # reach every retry and give up cleanly
+        backend = FlakyBackend(failures=2000)
+        with pytest.raises(LlmTransientError, match="gave up after 1101 attempts"):
+            complete(backend, PROMPT, config(max_retries=1100), key="k")
+        assert backend.calls == 1101
+
     def test_request_errors_not_retried(self):
         class Broken:
             calls = 0

@@ -1,6 +1,7 @@
 """Golden-file test freezing the prompt wording and rendering.
 
-Any change to the prompt template or serialization shows up here as a
+Any change to the prompt wording (the string constants in
+``blockspot.prompting``) or to the serialization shows up here as a
 byte-level diff.  Regenerate (after deliberate wording changes) with::
 
     python tests/test_prompt_golden.py --regen

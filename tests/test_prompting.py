@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from blockspot.geometry import AlignedRect
 from blockspot.prompting import (
     ChatPrompt,
-    _load_template,
     build_prompt,
     length_guard,
     render_boxes_literal,
@@ -102,27 +101,6 @@ class TestBuildPrompt:
         prompt = build_prompt(*block_input((text, (0, 0, 5, 5)), ("c", (0, 6, 5, 9))))
         assert render_lines_literal([text, "c"]) in prompt.user
         assert prompt.user.count("[[0, 0, 5, 5], [0, 6, 5, 9]]") == 1
-
-
-class TestLoadTemplate:
-    def test_splits_the_user_text_at_its_placeholders(self):
-        system, parts = _load_template("[system]\nS\n[user]\nf({{LINES}}, {{BOXES}})\nend\n")
-        assert system == "S"
-        assert parts == ("f(", ", ", ")\nend")
-
-    @pytest.mark.parametrize(
-        "user",
-        [
-            "f({{LINES}})",  # missing
-            "f({{BOXES}})",
-            "f({{LINES}}, {{BOXES}}, {{LINES}})",  # repeated
-            "f({{LINES}}, {{BOXES}}, {{BOXES}})",
-            "f({{BOXES}}, {{LINES}})",  # out of order
-        ],
-    )
-    def test_rejects_a_bad_user_text(self, user):
-        with pytest.raises(ValueError, match="once"):
-            _load_template(f"[system]\nS\n[user]\n{user}\n")
 
 
 class TestLengthGuard:
