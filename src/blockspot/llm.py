@@ -121,10 +121,13 @@ def complete(
     This is the only place a reply is rejected: a truncated reply, one that
     is blank after stripping, or one holding a lone surrogate raises, so
     callers can fall back.  The accepted text comes back stripped.  Once
-    ``stop`` is set, a backoff ends at once and no retry is sent.
+    ``stop`` is set, a backoff ends at once and no retry is sent.  The
+    give-up and stop messages end with the last transient error's text;
+    the error itself is not kept, so a retried send leaves no reference
+    cycle through its traceback.
     """
     attempts = config.max_retries + 1
-    last: LlmTransientError | None = None
+    last = ""  # the text only: the error's traceback holds this frame, a cycle
     for attempt in range(attempts):
         if attempt:
             delay = math.ldexp(config.retry_backoff, attempt - 1)
@@ -133,7 +136,7 @@ def complete(
         try:
             reply = backend.send(prompt, config, key)
         except LlmTransientError as e:
-            last = e
+            last = str(e)
             continue
         text = reply.text.strip()
         if reply.truncated:

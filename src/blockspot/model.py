@@ -350,7 +350,11 @@ def read_json(path: str | Path, error: type[Exception], what: str, *, lines: boo
 
 
 def serialize_document(doc: Document) -> bytes:
-    """Deterministic compact UTF-8 JSON; parse(serialize(doc)) equals doc."""
+    """Deterministic compact UTF-8 JSON; parse(serialize(doc)) equals doc.
+
+    The JSON does not say what kind of document it holds, so a ground-truth
+    document comes back equal only when parsed with ``kind="ground_truth"``.
+    """
     lines = []
     for line in doc.lines:
         obj = {"id": line.id, "vertices": line.box.vertices, "text": line.text}

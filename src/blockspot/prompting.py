@@ -72,8 +72,12 @@ class ChatPrompt:
 
 
 def render_lines_literal(texts: list[str]) -> str:
-    """Python list literal for the line texts (JSON escaping is valid Python)."""
-    return "[" + ", ".join(json.dumps(t, ensure_ascii=False) for t in texts) + "]"
+    """Python list literal for the line texts (JSON escaping is valid Python).
+
+    ``json`` separates list items with ``", "``, so this is each text's
+    literal joined by ``", "`` inside brackets.
+    """
+    return json.dumps(texts, ensure_ascii=False)
 
 
 def render_boxes_literal(bounds: list[AlignedRect]) -> str:

@@ -138,9 +138,17 @@ class TestRetries:
 
     def test_exhausted_retries_raise_transient(self):
         backend = FlakyBackend(failures=10)
-        with pytest.raises(LlmTransientError, match="gave up after 3 attempts"):
+        with pytest.raises(LlmTransientError, match="^gave up after 3 attempts: synthetic outage$"):
             complete(backend, PROMPT, config(max_retries=2), key="k")
         assert backend.calls == 3
+
+    def test_set_stop_ends_the_backoff_with_the_last_error_text(self):
+        backend = FlakyBackend(failures=10)
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(LlmTransientError, match="^stopped after 1 attempts: synthetic outage$"):
+            complete(backend, PROMPT, config(max_retries=2), key="k", stop=stop)
+        assert backend.calls == 1
 
     def test_backoff_doubling_never_overflows(self):
         # 2 ** 1024 is past the largest float; a zero backoff must still

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import ast
+import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blockspot.geometry import AlignedRect
@@ -28,6 +29,11 @@ FIGURE_INPUT = block_input(
     ("20 REASONS", (0, 28, 190, 55)),
     ("TO LOVE CYCLING", (4, 0, 160, 26)),
 )
+
+
+def joined_lines_literal(texts):
+    """Oracle: each text's JSON literal, joined by ", " inside brackets."""
+    return "[" + ", ".join(json.dumps(t, ensure_ascii=False) for t in texts) + "]"
 
 
 class TestBuildPrompt:
@@ -87,6 +93,23 @@ class TestBuildPrompt:
             ]
             literal = render_lines_literal(texts)
             assert ast.literal_eval(literal) == texts
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet='ab "\\\u2028\u2029\n\té'),
+                st.text(st.characters(blacklist_categories=())),  # lone surrogates too
+            ),
+            max_size=6,
+        )
+    )
+    @example([])
+    @example([""])
+    @example(['"', "\\"])
+    @example(["\u2028", "\ud800", "\udfff x"])
+    @settings(max_examples=300, deadline=None)
+    def test_lines_literal_equals_the_per_text_join(self, texts):
+        assert render_lines_literal(texts) == joined_lines_literal(texts)
 
     def test_boxes_rendered_as_int_quadruples(self):
         boxes = [AlignedRect(0, 0, 12, 7), AlignedRect(3, 1, 9, 22)]
