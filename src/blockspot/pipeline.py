@@ -7,10 +7,13 @@ budget; transport errors and replies failing the length guard degrade to
 the geometric order joined with spaces, while a request the provider
 refuses fails the whole run.  Every block always ends up with a text and
 an :class:`OrderingOutcome` explaining which strategy produced it.
-:func:`run` orders the blocks on the calling thread; with a backend, a
-thread that takes a block which may send first hands the queue to one more
-long-lived helper thread, so that up to :data:`~blockspot.llm.MAX_IN_FLIGHT`
-of a run's provider waits overlap.
+:func:`run` orders the blocks on the calling thread.  With a backend whose
+sends wait, a thread that takes a block which may send first hands the
+queue to one more long-lived helper thread, so that up to
+:data:`~blockspot.llm.MAX_IN_FLIGHT` of a run's provider waits overlap.  A
+backend whose last run that sent anything shows, in its outcomes'
+``wait_s``, that it answers at once (an offline replay or a scripted
+backend) gets no hand-off: a helper would have no wait to overlap.
 
 The recognizer side is an interface: :func:`plan_recognition` describes the
 rotate/crop/split work per line as one tuple-backed
@@ -27,6 +30,7 @@ import enum
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence
@@ -59,12 +63,23 @@ if TYPE_CHECKING:
 # A run's blocks in flight at once: the caller and up to MAX_IN_FLIGHT - 1
 # helpers, each submitted by a thread about to wait on a send.  Only
 # provider waits overlap, because the GIL serializes the pure-Python work
-# around them.  The helpers are shared by every run.  Their executor, and
-# with it concurrent.futures, is made on the process's first hand-off, so a
-# process that never hands off loads neither.  A forked child has none of
-# its parent's threads, so it forgets the executor and makes its own.
+# around them, so a run of a backend in _INSTANT_BACKENDS submits none: the
+# caller orders its blocks alone.  The helpers are shared by every run.
+# Their executor, and with it concurrent.futures, is made on the process's
+# first hand-off, so a process that never hands off loads neither.  A
+# forked child has none of its parent's threads, so it forgets the executor
+# and makes its own.
 _HELPERS: ThreadPoolExecutor | None = None
 _HELPERS_LOCK = threading.Lock()
+
+# The backends whose last run that sent anything had a median
+# OrderingOutcome.wait_s of at most _WAIT_S: 2 ms lies above an in-memory
+# reply and below any provider round trip.  A median, because host noise
+# alone can hold one send off the CPU for several milliseconds.  Weak, so a
+# backend the caller drops is forgotten.  Each run reads it once and writes
+# it once; of two concurrent runs of one backend, the later writer wins.
+_WAIT_S = 0.002
+_INSTANT_BACKENDS: weakref.WeakSet = weakref.WeakSet()
 
 
 def _helpers() -> ThreadPoolExecutor:
@@ -105,7 +120,8 @@ class OrderingOutcome:
 
     ``wait_s`` is set on the blocks that sent a request: the wall time of
     the send, retries included, minus the CPU time its thread spent, and
-    never below 0.0.  ``==`` ignores it.
+    never below 0.0.  ``==`` ignores it.  :func:`run` reads it to decide
+    whether the backend's next run hands its blocks to helper threads.
     """
 
     block_ref: int
@@ -303,16 +319,26 @@ def run(
     start; so up to :data:`~blockspot.llm.MAX_IN_FLIGHT` of the run's sends
     wait on the provider at once.  Once the queue is empty the caller
     cancels the helpers that never started and waits only for those that
-    did, never for ones queued behind another run.  Results are merged back
-    in block order, so a deterministic backend gives a deterministic
-    output.  An :class:`LlmRefusedError` from any block stops the run, so
-    that no block starts and no send is retried after it, and is re-raised
-    as is; other exceptions are invariant violations, gathered into one
-    :class:`PipelineError`.  Anything that escapes the caller's own blocks,
-    such as ``KeyboardInterrupt``, stops the helpers the same way and is
-    re-raised at once.  A run that returns leaves no reference cycle, so its
-    document, outcomes and helper state are freed as soon as the caller
-    drops them, without the cyclic garbage collector.
+    did, never for ones queued behind another run.
+
+    A run of a backend whose last run that sent anything had a median
+    ``wait_s`` of at most 2 ms submits no helper, because its sends have
+    no wait to overlap; the caller orders every block alone.  Every other
+    backend hands off from its first run: a new one, one whose sends
+    waited, and one that cannot be hashed or weakly referenced.  A run that
+    sends nothing leaves the decision as it was.
+
+    Results are merged back in block order, so a deterministic backend
+    gives a deterministic output.  An :class:`LlmRefusedError` from any
+    block stops the run, so that no block starts and no send is retried
+    after it, and is re-raised as is, with its traceback; other exceptions
+    are invariant violations, gathered into one :class:`PipelineError`.
+    Anything that escapes the caller's own blocks, such as
+    ``KeyboardInterrupt``, stops the helpers the same way and is re-raised
+    at once.  A run that returns or raises one of those two errors leaves
+    no reference cycle, so its document, outcomes and helper state are
+    freed as soon as the caller drops them, without the cyclic garbage
+    collector.
     """
     blocks = list(doc.blocks)
     blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
@@ -321,6 +347,7 @@ def run(
     stop = threading.Event()  # set by a refusal, or when the caller is interrupted
     helpers: list[Future] = []
     handoff = threading.Lock()
+    hands_off = backend is not None and not _answers_at_once(backend)
 
     def work() -> None:
         while not stop.is_set():
@@ -328,7 +355,7 @@ def run(
                 index, block = todo.popleft()
             except IndexError:
                 return
-            if backend is not None and len(block.line_ids) > 1:
+            if hands_off and len(block.line_ids) > 1:
                 with handoff:  # before this thread waits on a send, one more takes the queue
                     if todo and not (helpers and _waiting(helpers[-1])):
                         helpers.append(_helpers().submit(work))
@@ -351,14 +378,46 @@ def run(
             helper.result()
     del work  # it names itself in its hand-off: a cycle that only the cyclic GC would free
 
-    if stop.is_set():
-        raise next(r for r in results if isinstance(r, LlmRefusedError))
+    if backend is not None:
+        waits = [r.wait_s for r in results if isinstance(r, OrderingOutcome) and r.wait_s is not None]
+        _remember(backend, waits)
     failures = [(i, r) for i, r in enumerate(results) if isinstance(r, Exception)]
     if failures:
-        raise PipelineError("; ".join(f"block {i}: {e}" for i, e in failures))
+        if stop.is_set():
+            error = next(e for _, e in failures if isinstance(e, LlmRefusedError))
+        else:
+            error = PipelineError("; ".join(f"block {i}: {e}" for i, e in failures))
+        # A stored error's traceback holds the frames of the work loop that
+        # caught it, and through them this one: keep no name here for any error.
+        del failures
+        results.clear()
+        try:
+            raise error
+        finally:
+            del error
 
     new_blocks = tuple(replace(b, text=o.block_text) for b, o in zip(blocks, results))
     return doc.with_blocks(new_blocks), results
+
+
+def _answers_at_once(backend: LlmBackend) -> bool:
+    try:
+        return backend in _INSTANT_BACKENDS
+    except TypeError:  # unhashable: never remembered
+        return False
+
+
+def _remember(backend: LlmBackend, waits: list[float]) -> None:
+    """Record whether this run's sends waited; a run that sent nothing says nothing."""
+    if not waits:
+        return
+    try:
+        if sorted(waits)[len(waits) // 2] <= _WAIT_S:
+            _INSTANT_BACKENDS.add(backend)
+        else:
+            _INSTANT_BACKENDS.discard(backend)
+    except TypeError:  # not hashable or not weakly referenceable
+        pass
 
 
 def _waiting(helper: Future) -> bool:

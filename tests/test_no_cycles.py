@@ -5,7 +5,8 @@ garbage collector disabled and ``gc.DEBUG_SAVEALL`` set, and asserts that
 ``gc.collect()`` finds nothing: everything the path allocated was freed by
 reference counting alone.  Garbage is counted rather than weakref deaths,
 because a helper thread may still hold its finished work item for a moment
-after ``run`` returns.
+after ``run`` returns.  A run that fails is caught with ``try`` rather than
+``pytest.raises``, so that only ``run`` holds its error.
 """
 
 from __future__ import annotations
@@ -19,9 +20,23 @@ import pytest
 from conftest import sign_doc, sign_gt, synthetic_gt
 
 from blockspot.evaluation import evaluate, report_to_json
-from blockspot.llm import LlmConfig, LlmReply, LlmTransientError, ScriptedBackend, complete
-from blockspot.model import DocumentKind, parse_document, serialize_document
-from blockspot.pipeline import EchoRecognizer, Strategy, build_block_prompt, recognize_document, run
+from blockspot.llm import (
+    LlmConfig,
+    LlmRefusedError,
+    LlmReply,
+    LlmTransientError,
+    ScriptedBackend,
+    complete,
+)
+from blockspot.model import Block, Document, DocumentKind, parse_document, serialize_document
+from blockspot.pipeline import (
+    EchoRecognizer,
+    PipelineError,
+    Strategy,
+    build_block_prompt,
+    recognize_document,
+    run,
+)
 
 FIGURE_TEXT = "20 REASONS TO LOVE CYCLING"
 
@@ -86,6 +101,41 @@ def context_fallback():
     assert strategies(ScriptedBackend({}), cfg) == [Strategy.GEOMETRIC_FALLBACK_CONTEXT]
 
 
+class Refusing:
+    """Refuses every send, as a provider that rejects the credentials."""
+
+    def send(self, prompt, cfg, key):
+        raise LlmRefusedError("authentication rejected (HTTP 401)")
+
+
+def frame_names(error):
+    tb, names = error.__traceback__, []
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    return names
+
+
+def refused():
+    try:
+        run(sign_doc(), Refusing(), config())
+    except LlmRefusedError as e:
+        assert frame_names(e)[-1] == "send"  # re-raised with its traceback
+    else:
+        pytest.fail("the refusal was not raised")
+
+
+def invariant_violation():
+    doc = sign_doc()
+    broken = Document(doc.image_width, doc.image_height, doc.lines, (Block((7,)), Block((8, 9))))
+    try:
+        run(broken, None, config())
+    except PipelineError as e:
+        assert "block 0" in str(e) and "block 1" in str(e)
+    else:
+        pytest.fail("the invariant violations were not raised")
+
+
 def helpers_start():
     doc = synthetic_gt(24)
     doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) > 1)[:8])
@@ -141,6 +191,8 @@ ORDER_PATHS = [
     scripted,
     fails_once_then_answers,
     always_transient,
+    refused,
+    invariant_violation,
     length_guard_fallback,
     context_fallback,
     helpers_start,

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
@@ -108,7 +109,11 @@ class Gathering:
 class NeverStarts:
     """Stands in for the shared helper threads: no submitted helper starts."""
 
+    def __init__(self):
+        self.submitted = 0
+
     def submit(self, *args, **kwargs):
+        self.submitted += 1
         return Future()
 
 
@@ -750,7 +755,108 @@ class TestPoolPolicy:
         doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2))
         backend = self.Delayed(0.020)
         peaks = [backend.run(doc).peak for _ in range(3)]
-        assert all(peak >= 2 for peak in peaks)  # the first run too: nothing is learned
+        assert all(peak >= 2 for peak in peaks)  # the first run too: a new backend hands off
+
+    def sent_helpers(self, monkeypatch, doc, backend):
+        """The helpers one run submits, none of which starts."""
+        recorder = NeverStarts()
+        monkeypatch.setattr(pipeline, "_HELPERS", recorder)
+        run(doc, backend, config())
+        return recorder.submitted
+
+    def test_backend_that_answers_at_once_submits_no_helper(self, monkeypatch):
+        doc = synthetic_gt(11)
+        backend = ScriptedBackend(self.replies(doc))
+        assert self.sent_helpers(monkeypatch, doc, backend) >= 1  # a new backend hands off
+        assert self.sent_helpers(monkeypatch, doc, backend) == 0
+        assert self.sent_helpers(monkeypatch, doc, ScriptedBackend(self.replies(doc))) >= 1
+
+    def test_backend_that_starts_waiting_overlaps_again(self, ordering_threads):
+        doc = synthetic_gt(30)
+        doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2))
+        backend = self.Delayed(0.0)
+        ordering_threads(1)  # the caller alone, so no send waits for the interpreter lock
+        backend.run(doc)
+        ordering_threads(4)
+        backend.delay = 0.020
+        assert backend.run(doc).peak == 1  # remembered as answering at once
+        assert backend.run(doc).peak >= 2  # its last run's sends waited
+
+    class Slotted:
+        """Cannot be weakly referenced."""
+
+        __slots__ = ("replies",)
+
+        def __init__(self, replies):
+            self.replies = replies
+
+        def send(self, prompt, cfg, key):
+            return LlmReply(self.replies[key])
+
+    class Unhashable(ScriptedBackend):
+        def __eq__(self, other):
+            return self is other
+
+    @pytest.mark.parametrize("kind", [Slotted, Unhashable], ids=["slots", "unhashable"])
+    def test_backend_that_cannot_be_remembered_keeps_handing_off(self, monkeypatch, kind):
+        doc = synthetic_gt(11)
+        backend = kind(self.replies(doc))
+        assert [self.sent_helpers(monkeypatch, doc, backend) >= 1 for _ in range(3)] == [True] * 3
+
+    def test_run_that_sends_nothing_leaves_the_decision(self, monkeypatch):
+        doc = synthetic_gt(11)
+        singles = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 1))
+        fast = ScriptedBackend(self.replies(doc))
+        self.sent_helpers(monkeypatch, doc, fast)
+        self.sent_helpers(monkeypatch, singles, fast)
+        assert self.sent_helpers(monkeypatch, doc, fast) == 0
+        slow = self.Delayed(0.020)
+        slow.run(doc)
+        slow.run(singles)
+        assert self.sent_helpers(monkeypatch, doc, slow) >= 1
+
+    def test_concurrent_runs_keep_the_memory_whole(self, monkeypatch):
+        # more threads than cores, switching often, while backends are made and dropped
+        doc = synthetic_gt(11)
+        monkeypatch.setattr(pipeline, "_HELPERS", NeverStarts())
+        backends = [ScriptedBackend(self.replies(doc)) for _ in range(8)]
+        start = threading.Barrier(len(backends))
+        errors = []
+
+        def worker(backend):
+            try:
+                start.wait(timeout=10)
+                for _ in range(10):
+                    run(doc, backend, config())
+                    run(doc, ScriptedBackend(self.replies(doc)), config())
+            except Exception as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=worker, args=(b,)) for b in backends]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # a run's sends may have waited for the interpreter lock; one run alone settles it
+        for backend in backends:
+            self.sent_helpers(monkeypatch, doc, backend)
+        assert [self.sent_helpers(monkeypatch, doc, b) for b in backends] == [0] * len(backends)
+
+    def test_remembered_backend_is_freed_when_dropped(self, monkeypatch):
+        doc = synthetic_gt(11)
+        backend = ScriptedBackend(self.replies(doc))
+        for _ in range(2):  # with helpers that never start, and so never hold the backend
+            self.sent_helpers(monkeypatch, doc, backend)
+        dropped = weakref.ref(backend)
+        del backend
+        assert dropped() is None
 
     def test_every_sending_block_is_timed(self):
         # every sending block is timed, also under frequent thread switches
