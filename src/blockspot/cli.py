@@ -37,8 +37,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_type_hints
 
 from .evaluation import evaluate, render_table, report_to_json
@@ -91,13 +91,16 @@ _LLM_SETTINGS = (
 )
 
 
-@dataclass
-class Settings:
-    """Effective run settings after flag/env/file merging."""
+class Settings(SimpleNamespace):
+    """Effective run settings after flag/env/file merging; mutable, and
+    ``==`` and ``repr`` cover every field."""
 
-    backend: str = "geometric-only"
-    min_iou: float = 0.0
-    llm: LlmConfig = field(default_factory=LlmConfig)
+    backend: str
+    min_iou: float
+    llm: LlmConfig
+
+    def __init__(self, backend: str = "geometric-only", min_iou: float = 0.0, llm: LlmConfig | None = None):
+        super().__init__(backend=backend, min_iou=min_iou, llm=LlmConfig() if llm is None else llm)
 
     def echo(self) -> dict:
         """Reproducibility record; never includes the API key."""
@@ -238,7 +241,7 @@ def _read_corpus(arg: str) -> str:
 
 def cmd_fuzzy(args: argparse.Namespace) -> int:
     match = best_fuzzy_substring(args.query, _read_corpus(args.corpus))
-    print(json.dumps(asdict(match), ensure_ascii=False))
+    print(json.dumps(match._asdict(), ensure_ascii=False))
     return EXIT_OK
 
 

@@ -19,15 +19,15 @@ substrings; the DP takes O(len(text)) big-integer steps per pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _PIECE = 6  # the pigeonhole filter cuts a query into pieces of 6 to 11 characters
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """A located substring with its edit distance to the query.
 
+    An immutable 4-tuple ``(substring, start, end, distance)``:
     ``corpus[start:end] == substring`` and
     ``distance == levenshtein(query, substring)`` always hold.
     """

@@ -21,9 +21,8 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Protocol
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol
 
 from .model import LONE_SURROGATE, read_json
 from .prompting import ChatPrompt
@@ -61,10 +60,7 @@ class LlmRequestError(LlmError):
     """No usable reply (truncated, blank, malformed, none on file), or an unloadable backend file."""
 
 
-@dataclass(frozen=True)
-class LlmConfig:
-    """Connection and sampling settings for one pipeline run."""
-
+class _LlmSettings(NamedTuple):
     model: str = "gpt-3.5-turbo"
     temperature: float = 0.0
     max_context_tokens: int = 4096
@@ -72,10 +68,26 @@ class LlmConfig:
     request_timeout: float = 30.0
     max_retries: int = 3
     endpoint_url: str = DEFAULT_ENDPOINT
-    api_key: str = field(default_factory=lambda: os.environ.get(API_KEY_ENV, ""), repr=False)
+    api_key: str | None = None
     retry_backoff: float = 0.5
 
-    def __post_init__(self) -> None:
+
+class LlmConfig(_LlmSettings):
+    """Connection and sampling settings for one pipeline run.
+
+    An immutable 9-tuple of the fields above.  An ``api_key`` left out, or
+    ``None``, is read from ``BLOCKSPOT_API_KEY`` when the config is built,
+    and ``repr`` never shows the key.  The constructor (and so ``copy`` and
+    ``pickle``) checks the ranges; the inherited ``_replace`` and ``_make``
+    skip those checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "LlmConfig":
+        self = super().__new__(cls, *args, **kwargs)
+        if self.api_key is None:
+            self = self._replace(api_key=os.environ.get(API_KEY_ENV, ""))
         if not 0 <= self.temperature < math.inf:  # also false for NaN, which json reads
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 < self.max_output_tokens < self.max_context_tokens:
@@ -83,10 +95,14 @@ class LlmConfig:
         finite = 0 < self.request_timeout < math.inf and 0 <= self.retry_backoff < math.inf
         if self.max_retries < 0 or not finite:
             raise ValueError("invalid retry/timeout settings (each must be finite)")
+        return self
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self) if k != "api_key")
+        return f"LlmConfig({shown})"
 
 
-@dataclass(frozen=True)
-class LlmReply:
+class LlmReply(NamedTuple):
     """What the provider sent back, unjudged: :func:`complete` decides if it is usable."""
 
     text: str

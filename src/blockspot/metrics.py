@@ -14,10 +14,10 @@ Three classic measures over unicode code points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 from os.path import commonprefix
+from typing import NamedTuple
 
 from .fuzzy import MatchResult, levenshtein
 
@@ -25,19 +25,28 @@ _WINKLER_PREFIX_SCALE = 0.1
 _WINKLER_MAX_PREFIX = 4
 
 
-@dataclass(frozen=True)
-class MetricVector:
-    """Similarity metrics for one (prediction, reference) string pair."""
-
+class _MetricFields(NamedTuple):
     nld: float
     jaro_winkler: float
     ratcliff_obershelp: float
 
-    def __post_init__(self) -> None:
-        for name in ("nld", "jaro_winkler", "ratcliff_obershelp"):
-            v = getattr(self, name)
+
+class MetricVector(_MetricFields):
+    """Similarity metrics for one (prediction, reference) string pair.
+
+    An immutable 3-tuple ``(nld, jaro_winkler, ratcliff_obershelp)``.  The
+    constructor (and so ``copy`` and ``pickle``) checks that each lies in
+    [0, 1]; the inherited ``_replace`` and ``_make`` skip that check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nld: float, jaro_winkler: float, ratcliff_obershelp: float) -> "MetricVector":
+        self = tuple.__new__(cls, (nld, jaro_winkler, ratcliff_obershelp))
+        for name, v in zip(self._fields, self):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]: {v}")
+        return self
 
 
 def compute_metrics(query: str, match: MatchResult) -> MetricVector:

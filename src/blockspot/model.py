@@ -39,7 +39,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -72,17 +72,17 @@ class DocumentKind(enum.Enum):
     GROUND_TRUTH = "ground_truth"
 
 
-@dataclass(frozen=True)
 class Quad:
     """Convex quadrilateral, counter-clockwise (clockwise input is reversed),
     positive area.  Its axis-aligned box, ``bounds``, is computed here once
-    for every layer to read; ``==``, ``hash`` and ``repr`` ignore it."""
+    for every layer to read; ``==``, ``hash`` and ``repr`` ignore it.  A
+    quad is immutable, and ``copy`` and ``pickle`` build it again from its
+    vertices."""
 
-    vertices: tuple[tuple[float, float], ...]
-    bounds: AlignedRect = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "bounds")
 
-    def __post_init__(self) -> None:
-        pts = self.vertices
+    def __init__(self, vertices: tuple[tuple[float, float], ...]) -> None:
+        pts = vertices
         if len(pts) != 4:
             raise ValueError(f"quad needs 4 vertices, got {len(pts)}")
         (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts
@@ -97,7 +97,6 @@ class Quad:
         if area4 < 0:
             # reversing the winding negates every cross exactly and permutes them
             pts = ((ax, ay), (dx, dy), (cx, cy), (bx, by))
-            object.__setattr__(self, "vertices", pts)
             bx, by, dx, dy = dx, dy, bx, by
             kd, ka, kb, kc = -kb, -ka, -kd, -kc
             # summed again in the new order: -area4 can round a crossing quad's
@@ -138,7 +137,27 @@ class Quad:
             y0 = dy
         elif dy > y1:
             y1 = dy
+        object.__setattr__(self, "vertices", pts)
         object.__setattr__(self, "bounds", AlignedRect(x0, y0, x1, y1))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __repr__(self) -> str:
+        return f"Quad(vertices={self.vertices!r})"
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"a quad is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return Quad, (self.vertices,)
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[float]]) -> "Quad":

@@ -32,7 +32,6 @@ import threading
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence
 
 from .geo_order import geometric_order
@@ -114,26 +113,44 @@ class Strategy(enum.Enum):
     GEOMETRIC_ONLY = "geometric_only"  # LLM disabled by configuration
 
 
-@dataclass(frozen=True)
-class OrderingOutcome:
-    """How one block's text was produced.
-
-    ``wait_s`` is set on the blocks that sent a request: the wall time of
-    the send, retries included, minus the CPU time its thread spent, and
-    never below 0.0.  ``==`` ignores it.  :func:`run` reads it to decide
-    whether the backend's next run hands its blocks to helper threads.
-    """
-
+class _OutcomeFields(NamedTuple):
     block_ref: int
     strategy: Strategy
     block_text: str
     expected_len: int
     llm_len: int | None = None
-    wait_s: float | None = field(default=None, compare=False)
+    wait_s: float | None = None
 
-    def __post_init__(self) -> None:
+
+class OrderingOutcome(_OutcomeFields):
+    """How one block's text was produced.
+
+    An immutable 6-tuple of the fields above.  ``wait_s`` is set on the
+    blocks that sent a request: the wall time of the send, retries
+    included, minus the CPU time its thread spent, and never below 0.0.
+    ``==``, ``!=`` and ``hash`` ignore it.  :func:`run` reads it to decide
+    whether the backend's next run hands its blocks to helper threads.
+    The constructor (and so ``copy`` and ``pickle``) checks that an LLM
+    outcome has a reply length.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "OrderingOutcome":
+        self = super().__new__(cls, *args, **kwargs)
         if self.strategy is Strategy.LLM and self.llm_len is None:
             raise ValueError("llm outcomes must record the reply length")
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    __ne__ = object.__ne__  # the negated __eq__; tuple's own would compare wait_s
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
 
 class RecognizerRequest(NamedTuple):
@@ -218,7 +235,9 @@ def recognize_document(doc: Document, recognizer: Recognizer) -> Document:
         text = "".join(parts)
         lines.append(line if line.text == text else Line(line.id, line.box, text, line.recognizer_confidence))
     new_lines = tuple(lines)
-    return doc if new_lines == doc.lines else replace(doc, lines=new_lines)
+    if new_lines == doc.lines:
+        return doc
+    return Document(doc.image_width, doc.image_height, new_lines, doc.blocks, doc.is_ground_truth)
 
 
 def _geometric_entries(doc: Document, block: Block) -> tuple[list[str], list[AlignedRect]]:
@@ -396,7 +415,7 @@ def run(
         finally:
             del error
 
-    new_blocks = tuple(replace(b, text=o.block_text) for b, o in zip(blocks, results))
+    new_blocks = tuple(Block(b.line_ids, o.block_text) for b, o in zip(blocks, results))
     return doc.with_blocks(new_blocks), results
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import AlignedRect
 
@@ -55,16 +55,25 @@ _USER_AFTER = """)
 Reply with exactly the string returned by your_task and nothing else."""
 
 
-@dataclass(frozen=True)
-class ChatPrompt:
-    """A system/user message pair ready for a chat-completion call."""
-
+class _PromptFields(NamedTuple):
     system: str
     user: str
 
-    def __post_init__(self) -> None:
-        if not self.system or not self.user:
+
+class ChatPrompt(_PromptFields):
+    """A system/user message pair ready for a chat-completion call.
+
+    An immutable 2-tuple ``(system, user)``.  The constructor (and so
+    ``copy`` and ``pickle``) checks that neither is empty; the inherited
+    ``_replace`` and ``_make`` skip that check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, system: str, user: str) -> "ChatPrompt":
+        if not system or not user:
             raise ValueError("prompts must be non-empty")
+        return tuple.__new__(cls, (system, user))
 
     @property
     def total_chars(self) -> int:

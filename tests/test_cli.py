@@ -376,6 +376,12 @@ class TestFuzzy:
         result = json.loads(capsys.readouterr().out)
         assert result == {"substring": "CYCLING", "start": 19, "end": 26, "distance": 1}
 
+    def test_stdout_bytes(self, capsys):
+        # key order and separators are part of the output, not only the values
+        assert main(["fuzzy", "CYCLNG", "20 REASONS TO LOVE CYCLING"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == b'{"substring": "CYCLING", "start": 19, "end": 26, "distance": 1}\n'
+
     def test_empty_query(self, capsys):
         assert main(["fuzzy", "", "anything"]) == 0
         result = json.loads(capsys.readouterr().out)
