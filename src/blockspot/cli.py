@@ -149,7 +149,9 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
 
 
 def _make_backend(settings: Settings) -> LlmBackend | None:
-    kind, _, arg = settings.backend.partition(":")
+    kind, colon, arg = settings.backend.partition(":")
+    if kind in ("geometric-only", "http") and colon:
+        raise BackendConfigError(f"{kind} backend takes no argument, got {settings.backend!r}")
     if kind == "geometric-only":
         return None
     if kind == "http":

@@ -32,8 +32,9 @@ if TYPE_CHECKING:
 
 API_KEY_ENV = "BLOCKSPOT_API_KEY"
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
-# Requests one pipeline run keeps in flight at most.  pipeline.run's helper
-# threads and HttpBackend's connection pool are both sized from it.
+# Requests one pipeline run keeps in flight at most: pipeline.run's caller
+# and up to MAX_IN_FLIGHT - 1 helper threads of that run.  HttpBackend's
+# connection pool is sized from it too.
 MAX_IN_FLIGHT = 16
 # The stop of a caller that has none: never set, so a backoff waits in full.
 _NEVER_STOP = threading.Event()

@@ -8,8 +8,8 @@ the geometric order joined with spaces, while a request the provider
 refuses fails the whole run.  Every block always ends up with a text and
 an :class:`OrderingOutcome` explaining which strategy produced it.
 :func:`run` orders the blocks on the calling thread.  With a backend whose
-sends wait, a thread that takes a block which may send first hands the
-queue to one more long-lived helper thread, so that up to
+sends wait, a thread that takes a block which may send first starts one
+more helper thread of the run on the queue, so that up to
 :data:`~blockspot.llm.MAX_IN_FLIGHT` of a run's provider waits overlap.  A
 backend whose last run that sent anything shows, in its outcomes'
 ``wait_s``, that it answers at once (an offline replay or a scripted
@@ -27,12 +27,11 @@ Scripted and echo recognizers are provided for tests and offline runs.
 from __future__ import annotations
 
 import enum
-import os
 import threading
 import time
 import weakref
 from collections import deque
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from .geo_order import geometric_order
 from .geometry import (
@@ -55,21 +54,6 @@ from .llm import (
 from .model import Block, Document, Line
 from .prompting import ChatPrompt, build_prompt, length_guard
 
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ThreadPoolExecutor
-
-
-# A run's blocks in flight at once: the caller and up to MAX_IN_FLIGHT - 1
-# helpers, each submitted by a thread about to wait on a send.  Only
-# provider waits overlap, because the GIL serializes the pure-Python work
-# around them, so a run of a backend in _INSTANT_BACKENDS submits none: the
-# caller orders its blocks alone.  The helpers are shared by every run.
-# Their executor, and with it concurrent.futures, is made on the process's
-# first hand-off, so a process that never hands off loads neither.  A
-# forked child has none of its parent's threads, so it forgets the executor
-# and makes its own.
-_HELPERS: ThreadPoolExecutor | None = None
-_HELPERS_LOCK = threading.Lock()
 
 # The backends whose last run that sent anything had a median
 # OrderingOutcome.wait_s of at most _WAIT_S: 2 ms lies above an in-memory
@@ -79,25 +63,6 @@ _HELPERS_LOCK = threading.Lock()
 # it once; of two concurrent runs of one backend, the later writer wins.
 _WAIT_S = 0.002
 _INSTANT_BACKENDS: weakref.WeakSet = weakref.WeakSet()
-
-
-def _helpers() -> ThreadPoolExecutor:
-    global _HELPERS
-    with _HELPERS_LOCK:
-        if _HELPERS is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _HELPERS = ThreadPoolExecutor(MAX_IN_FLIGHT - 1, thread_name_prefix="blockspot-helper")
-        return _HELPERS
-
-
-def _forget_helpers() -> None:
-    global _HELPERS, _HELPERS_LOCK
-    _HELPERS, _HELPERS_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 class PipelineError(RuntimeError):
@@ -333,15 +298,18 @@ def run(
     order) so the output covers every detected line.  The calling thread
     takes blocks from a shared queue and orders them.  With a backend, a
     thread that takes a block of more than one line (only those can send)
-    first submits one more copy of that loop to the shared helper threads,
-    if blocks are still queued and no helper of this run is waiting to
-    start; so up to :data:`~blockspot.llm.MAX_IN_FLIGHT` of the run's sends
-    wait on the provider at once.  Once the queue is empty the caller
-    cancels the helpers that never started and waits only for those that
-    did, never for ones queued behind another run.
+    first starts one more helper thread on that loop, if blocks are still
+    queued and the run has fewer than ``MAX_IN_FLIGHT - 1`` helpers; so up
+    to :data:`~blockspot.llm.MAX_IN_FLIGHT` of the run's sends wait on the
+    provider at once.  The helpers are the run's own: each of two
+    concurrent runs starts its own, and once the queue is empty the caller
+    waits for its helpers to finish.  No thread is kept between runs, so a
+    forked child needs nothing special.  A helper that cannot be started
+    (the process is out of threads) leaves its block to the thread that
+    tried, which tries again at its next block.
 
     A run of a backend whose last run that sent anything had a median
-    ``wait_s`` of at most 2 ms submits no helper, because its sends have
+    ``wait_s`` of at most 2 ms starts no helper, because its sends have
     no wait to overlap; the caller orders every block alone.  Every other
     backend hands off from its first run: a new one, one whose sends
     waited, and one that cannot be hashed or weakly referenced.  A run that
@@ -351,20 +319,20 @@ def run(
     gives a deterministic output.  An :class:`LlmRefusedError` from any
     block stops the run, so that no block starts and no send is retried
     after it, and is re-raised as is, with its traceback; other exceptions
-    are invariant violations, gathered into one :class:`PipelineError`.
-    Anything that escapes the caller's own blocks, such as
-    ``KeyboardInterrupt``, stops the helpers the same way and is re-raised
-    at once.  A run that returns or raises one of those two errors leaves
-    no reference cycle, so its document, outcomes and helper state are
-    freed as soon as the caller drops them, without the cyclic garbage
-    collector.
+    are invariant violations, gathered into one :class:`PipelineError`, as
+    is a block whose helper thread died with it.  Anything that escapes the
+    caller's own blocks, such as ``KeyboardInterrupt``, stops the helpers
+    the same way and is re-raised at once.  A run that returns or raises
+    one of those two errors leaves no reference cycle, so its document,
+    outcomes and helper state are freed as soon as the caller drops them,
+    without the cyclic garbage collector.
     """
     blocks = list(doc.blocks)
     blocks.extend(Block(line_ids=(lid,)) for lid in doc.ungrouped_line_ids())
     todo = deque(enumerate(blocks))
     results: list[OrderingOutcome | Exception | None] = [None] * len(blocks)
     stop = threading.Event()  # set by a refusal, or when the caller is interrupted
-    helpers: list[Future] = []
+    helpers: list[threading.Thread] = []
     handoff = threading.Lock()
     hands_off = backend is not None and not _answers_at_once(backend)
 
@@ -376,8 +344,13 @@ def run(
                 return
             if hands_off and len(block.line_ids) > 1:
                 with handoff:  # before this thread waits on a send, one more takes the queue
-                    if todo and not (helpers and _waiting(helpers[-1])):
-                        helpers.append(_helpers().submit(work))
+                    if todo and len(helpers) < MAX_IN_FLIGHT - 1:
+                        helper = threading.Thread(target=work, name="blockspot-helper")
+                        try:
+                            helper.start()  # returns once the helper runs
+                            helpers.append(helper)
+                        except RuntimeError:  # out of threads: this one orders the block
+                            pass
             try:
                 results[index] = order_block(doc, block, backend, config, block_index=index, stop=stop)
             except Exception as e:  # refused requests and bugs; reported after the merge
@@ -389,23 +362,22 @@ def run(
         work()
     except BaseException:
         stop.set()
-        for helper in helpers:
-            helper.cancel()
         raise
-    for helper in helpers:
-        if not helper.cancel():
-            helper.result()
+    for helper in helpers:  # a helper appends the ones it starts before it ends
+        helper.join()
     del work  # it names itself in its hand-off: a cycle that only the cyclic GC would free
 
     if backend is not None:
         waits = [r.wait_s for r in results if isinstance(r, OrderingOutcome) and r.wait_s is not None]
         _remember(backend, waits)
-    failures = [(i, r) for i, r in enumerate(results) if isinstance(r, Exception)]
-    if failures:
+    failures = [(i, r) for i, r in enumerate(results) if not isinstance(r, OrderingOutcome)]
+    if failures:  # None: a block a refusal left unordered, or whose thread died
         if stop.is_set():
             error = next(e for _, e in failures if isinstance(e, LlmRefusedError))
         else:
-            error = PipelineError("; ".join(f"block {i}: {e}" for i, e in failures))
+            error = PipelineError(
+                "; ".join(f"block {i}: {'its thread died' if e is None else e}" for i, e in failures)
+            )
         # A stored error's traceback holds the frames of the work loop that
         # caught it, and through them this one: keep no name here for any error.
         del failures
@@ -437,8 +409,3 @@ def _remember(backend: LlmBackend, waits: list[float]) -> None:
             _INSTANT_BACKENDS.discard(backend)
     except TypeError:  # not hashable or not weakly referenceable
         pass
-
-
-def _waiting(helper: Future) -> bool:
-    """Submitted, and not yet taken up by a helper thread."""
-    return not (helper.running() or helper.done())

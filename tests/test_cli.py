@@ -20,7 +20,7 @@ import blockspot
 from blockspot import cli, pipeline
 from blockspot.cli import main
 from blockspot.llm import DEFAULT_ENDPOINT, prompt_fingerprint
-from blockspot.model import save_document
+from blockspot.model import save_document, serialize_document
 from blockspot.pipeline import build_block_prompt
 
 
@@ -66,6 +66,16 @@ class TestOrder:
         doc_path, _ = sign_fixture
         code = main(["order", str(doc_path), "--backend", "quantum", "--out", str(tmp_path / "o.json")])
         assert code == 3
+
+    @pytest.mark.parametrize("backend", ["geometric-only:typo", "http:foo", "http:"])
+    def test_backend_without_a_path_rejects_one(self, tmp_path, sign_fixture, capsys, backend):
+        doc_path, _ = sign_fixture
+        out = tmp_path / "o.json"
+        code = main(["order", str(doc_path), "--backend", backend, "--out", str(out)])
+        assert code == 3
+        kind = backend.partition(":")[0]
+        assert capsys.readouterr().err == f"error: {kind} backend takes no argument, got {backend!r}\n"
+        assert not out.exists() and not out.with_suffix(".outcomes.json").exists()
 
     def test_missing_scripted_file_exits_3(self, tmp_path, sign_fixture, capsys):
         doc_path, _ = sign_fixture
@@ -877,16 +887,36 @@ class TestArgvFuzz:
             assert list(out.iterdir()) == []  # a failed run leaves no output
 
 
+# An offline run whose caller hands blocks to helper threads.
+RUN_THAT_HANDS_OFF = """
+import threading, time
+from blockspot.llm import LlmConfig, LlmReply
+from blockspot.model import parse_document
+from blockspot.pipeline import run
+
+class Waiting:
+    def send(self, prompt, cfg, key):
+        names.add(threading.current_thread().name)
+        time.sleep(0.005)
+        return LlmReply("reply")
+
+names = set()
+run(parse_document(DOC), Waiting(), LlmConfig(api_key="k"))
+assert "blockspot-helper" in names, names
+"""
+
+
 def test_import_loads_only_what_every_command_uses():
-    # an offline run never pays for the HTTP stack, and no kernel uses
-    # difflib; hashlib loads with the first transcript hash, and
-    # concurrent.futures with the first hand-off to a helper thread.  The
-    # package reads no data files, so importlib.resources (with zipfile and
-    # tempfile) never loads.  -S keeps a site .pth file from loading any of
-    # them first.
+    # an offline run never pays for the HTTP stack (nor for the logging it
+    # loads), and no kernel uses difflib; hashlib loads with the first
+    # transcript hash.  Helper threads are plain threads, so
+    # concurrent.futures never loads.  The package reads no data files, so
+    # importlib.resources (with zipfile and tempfile) never loads.  -S keeps
+    # a site .pth file from loading any of them first.
     src = str(Path(blockspot.__file__).resolve().parent.parent)
     lazy = {
         "requests",
+        "logging",
         "difflib",
         "statistics",
         "hashlib",
@@ -895,13 +925,15 @@ def test_import_loads_only_what_every_command_uses():
         "zipfile",
         "tempfile",
     }
-    code = f"import sys, blockspot, blockspot.cli; print(sorted({lazy!r} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    hand_off = RUN_THAT_HANDS_OFF.replace("DOC", repr(serialize_document(synthetic_gt(11))))
+    for then in ("", hand_off):
+        code = f"import sys, blockspot, blockspot.cli\n{then}\nprint(sorted({lazy!r} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

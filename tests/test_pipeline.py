@@ -10,8 +10,8 @@ import tempfile
 import threading
 import time
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -106,33 +106,31 @@ class Gathering:
         return LlmReply(text="reply")
 
 
-class NeverStarts:
-    """Stands in for the shared helper threads: no submitted helper starts."""
+@pytest.fixture
+def helper_starts(monkeypatch):
+    """Counts the ``blockspot-helper`` threads started in ``tries`` and
+    ``started``; the start numbered ``fail_at`` raises instead, as it does
+    in a process that is out of threads."""
+    starts = SimpleNamespace(tries=0, started=0, fail_at=None)
+    start = threading.Thread.start
 
-    def __init__(self):
-        self.submitted = 0
+    def counted(thread):
+        if thread.name == "blockspot-helper":
+            starts.tries += 1
+            if starts.tries == starts.fail_at:
+                raise RuntimeError("can't start new thread")
+            starts.started += 1
+        start(thread)
 
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return Future()
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
 
 
 @pytest.fixture
 def ordering_threads(monkeypatch):
-    """``use(n)`` has the caller and ``n - 1`` helper threads order a run."""
-    pools = []
-
-    def use(n):
-        if n == 1:
-            pool = NeverStarts()
-        else:
-            pool = ThreadPoolExecutor(n - 1)
-            pools.append(pool)
-        monkeypatch.setattr(pipeline, "_HELPERS", pool)
-
-    yield use
-    for pool in pools:
-        pool.shutdown()
+    """``use(n)`` has the caller and up to ``n - 1`` helper threads order a
+    run; ``use(1)``, the caller alone."""
+    return lambda n: monkeypatch.setattr(pipeline, "MAX_IN_FLIGHT", n)
 
 
 def cut_off_body():
@@ -607,12 +605,7 @@ class TestRun:
         assert outcomes == expected
         assert [b.text for b in out.blocks] == [o.block_text for o in expected]
 
-    def test_geometric_only_run_starts_no_pool(self, monkeypatch):
-        class NoHelpers:
-            def submit(self, *a, **k):
-                raise AssertionError("geometric-only run submitted a helper")
-
-        monkeypatch.setattr(pipeline, "_HELPERS", NoHelpers())
+    def test_geometric_only_run_starts_no_pool(self, helper_starts):
         out, outcomes = run(synthetic_gt(6), None, config())
         assert [o.strategy for o in outcomes[:2]] == [Strategy.SINGLE_LINE, Strategy.GEOMETRIC_ONLY]
         # with a backend too, while no block has more than one line: none can send
@@ -620,6 +613,7 @@ class TestRun:
         singles = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 1))
         _, outcomes = run(singles, CountingBackend({}), config())
         assert {o.strategy for o in outcomes} == {Strategy.SINGLE_LINE}
+        assert helper_starts.tries == 0
 
     def test_provider_waits_overlap(self):
         backend = Gathering(2)
@@ -720,7 +714,7 @@ class TestRun:
 
 
 class TestPoolPolicy:
-    """``run``'s caller and the shared helper threads take a backend's blocks."""
+    """``run``'s caller and its helper threads take a backend's blocks."""
 
     @staticmethod
     def replies(doc):
@@ -757,19 +751,19 @@ class TestPoolPolicy:
         peaks = [backend.run(doc).peak for _ in range(3)]
         assert all(peak >= 2 for peak in peaks)  # the first run too: a new backend hands off
 
-    def sent_helpers(self, monkeypatch, doc, backend):
-        """The helpers one run submits, none of which starts."""
-        recorder = NeverStarts()
-        monkeypatch.setattr(pipeline, "_HELPERS", recorder)
+    @staticmethod
+    def sent_helpers(helper_starts, doc, backend):
+        """The helper threads one run starts."""
+        helper_starts.started = 0
         run(doc, backend, config())
-        return recorder.submitted
+        return helper_starts.started
 
-    def test_backend_that_answers_at_once_submits_no_helper(self, monkeypatch):
+    def test_backend_that_answers_at_once_submits_no_helper(self, helper_starts):
         doc = synthetic_gt(11)
         backend = ScriptedBackend(self.replies(doc))
-        assert self.sent_helpers(monkeypatch, doc, backend) >= 1  # a new backend hands off
-        assert self.sent_helpers(monkeypatch, doc, backend) == 0
-        assert self.sent_helpers(monkeypatch, doc, ScriptedBackend(self.replies(doc))) >= 1
+        assert self.sent_helpers(helper_starts, doc, backend) >= 1  # a new backend hands off
+        assert self.sent_helpers(helper_starts, doc, backend) == 0
+        assert self.sent_helpers(helper_starts, doc, ScriptedBackend(self.replies(doc))) >= 1
 
     def test_backend_that_starts_waiting_overlaps_again(self, ordering_threads):
         doc = synthetic_gt(30)
@@ -781,6 +775,11 @@ class TestPoolPolicy:
         backend.delay = 0.020
         assert backend.run(doc).peak == 1  # remembered as answering at once
         assert backend.run(doc).peak >= 2  # its last run's sends waited
+
+    class Slow(ScriptedBackend):
+        def send(self, prompt, cfg, key):
+            time.sleep(0.002)
+            return super().send(prompt, cfg, key)
 
     class Slotted:
         """Cannot be weakly referenced."""
@@ -798,27 +797,27 @@ class TestPoolPolicy:
             return self is other
 
     @pytest.mark.parametrize("kind", [Slotted, Unhashable], ids=["slots", "unhashable"])
-    def test_backend_that_cannot_be_remembered_keeps_handing_off(self, monkeypatch, kind):
+    def test_backend_that_cannot_be_remembered_keeps_handing_off(self, helper_starts, kind):
         doc = synthetic_gt(11)
         backend = kind(self.replies(doc))
-        assert [self.sent_helpers(monkeypatch, doc, backend) >= 1 for _ in range(3)] == [True] * 3
+        assert [self.sent_helpers(helper_starts, doc, backend) >= 1 for _ in range(3)] == [True] * 3
 
-    def test_run_that_sends_nothing_leaves_the_decision(self, monkeypatch):
+    def test_run_that_sends_nothing_leaves_the_decision(self, helper_starts):
         doc = synthetic_gt(11)
         singles = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 1))
         fast = ScriptedBackend(self.replies(doc))
-        self.sent_helpers(monkeypatch, doc, fast)
-        self.sent_helpers(monkeypatch, singles, fast)
-        assert self.sent_helpers(monkeypatch, doc, fast) == 0
+        self.sent_helpers(helper_starts, doc, fast)
+        self.sent_helpers(helper_starts, singles, fast)
+        assert self.sent_helpers(helper_starts, doc, fast) == 0
         slow = self.Delayed(0.020)
         slow.run(doc)
         slow.run(singles)
-        assert self.sent_helpers(monkeypatch, doc, slow) >= 1
+        assert self.sent_helpers(helper_starts, doc, slow) >= 1
 
-    def test_concurrent_runs_keep_the_memory_whole(self, monkeypatch):
+    def test_concurrent_runs_keep_the_memory_whole(self, monkeypatch, helper_starts):
         # more threads than cores, switching often, while backends are made and dropped
         doc = synthetic_gt(11)
-        monkeypatch.setattr(pipeline, "_HELPERS", NeverStarts())
+        monkeypatch.setattr(pipeline, "MAX_IN_FLIGHT", 1)  # the callers alone
         backends = [ScriptedBackend(self.replies(doc)) for _ in range(8)]
         start = threading.Barrier(len(backends))
         errors = []
@@ -845,15 +844,16 @@ class TestPoolPolicy:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         # a run's sends may have waited for the interpreter lock; one run alone settles it
+        monkeypatch.setattr(pipeline, "MAX_IN_FLIGHT", MAX_IN_FLIGHT)
         for backend in backends:
-            self.sent_helpers(monkeypatch, doc, backend)
-        assert [self.sent_helpers(monkeypatch, doc, b) for b in backends] == [0] * len(backends)
+            self.sent_helpers(helper_starts, doc, backend)
+        assert [self.sent_helpers(helper_starts, doc, b) for b in backends] == [0] * len(backends)
 
-    def test_remembered_backend_is_freed_when_dropped(self, monkeypatch):
+    def test_remembered_backend_is_freed_when_dropped(self, helper_starts):
         doc = synthetic_gt(11)
         backend = ScriptedBackend(self.replies(doc))
-        for _ in range(2):  # with helpers that never start, and so never hold the backend
-            self.sent_helpers(monkeypatch, doc, backend)
+        for _ in range(2):  # run joins its helpers before it returns, so none holds the backend
+            self.sent_helpers(helper_starts, doc, backend)
         dropped = weakref.ref(backend)
         del backend
         assert dropped() is None
@@ -944,56 +944,8 @@ class TestPoolPolicy:
         waits = [order_block(figure_doc, block, backend, config(), 0).wait_s for _ in range(300)]
         assert min(waits) >= 0.0
 
-    def test_concurrent_first_runs_make_one_executor(self, monkeypatch):
-        made = []
-
-        class Counted(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                time.sleep(0.05)  # widen the window in which a second run could make one too
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Counted)
-        monkeypatch.setattr(pipeline, "_HELPERS", None)
-        doc = synthetic_gt(9)
-        start = threading.Barrier(8)
-
-        def first_run():
-            start.wait(timeout=10)
-            self.Delayed(0.005).run(doc)
-
-        threads = [threading.Thread(target=first_run) for _ in range(8)]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            for pool in made:
-                pool.shutdown()
-        assert len(made) == 1
-        assert pipeline._HELPERS is made[0]
-
-    def test_forked_child_of_a_process_that_never_handed_off(self, monkeypatch):
-        # no executor yet, and the lock that guards making one held at the fork
-        monkeypatch.setattr(pipeline, "_HELPERS", None)
-        doc = synthetic_gt(11)
-
-        def child():
-            assert self.Delayed(0.005).run(doc).peak >= 2
-
-        with pipeline._HELPERS_LOCK:
-            process = multiprocessing.get_context("fork").Process(target=child)
-            process.start()
-        process.join(timeout=30)
-        if process.is_alive():
-            process.kill()
-            process.join()
-            pytest.fail("the forked child's run hung")
-        assert process.exitcode == 0
-
     def test_forked_child_completes_a_run(self):
-        # the child inherits the helper pool but none of its threads
+        # the child inherits none of its parent's threads
         doc = synthetic_gt(11)
         self.Delayed(0.005).run(doc)
         expected = run(doc, ScriptedBackend(self.replies(doc)), config())
@@ -1050,13 +1002,8 @@ class TestPoolPolicy:
     def test_concurrent_runs_match_serial_runs(self):
         docs = [synthetic_gt(11), synthetic_gt(20)]
 
-        class Slow(ScriptedBackend):
-            def send(self, prompt, cfg, key):
-                time.sleep(0.002)
-                return super().send(prompt, cfg, key)
-
         def order(doc):
-            return run(doc, Slow(self.replies(doc)), config())
+            return run(doc, self.Slow(self.replies(doc)), config())
 
         serial = [order(doc) for doc in docs]
         concurrent = [None, None]
@@ -1072,6 +1019,52 @@ class TestPoolPolicy:
         for thread in threads:
             thread.join()
         assert concurrent == serial
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 5])
+    def test_helper_that_cannot_start_loses_no_block(self, ordering_threads, helper_starts, fail_at):
+        doc = synthetic_gt(30)
+        ordering_threads(1)
+        serial = run(doc, self.Slow(self.replies(doc)), config())
+        ordering_threads(MAX_IN_FLIGHT)
+        helper_starts.fail_at = fail_at
+        assert run(doc, self.Slow(self.replies(doc)), config()) == serial
+        assert helper_starts.tries > fail_at  # the next block tries again
+        assert helper_starts.started == helper_starts.tries - 1
+
+    def test_a_run_keeps_at_most_max_in_flight_sends(self):
+        class Lingering(Gathering):
+            """Holds each send until ``target`` are in flight, then 10 ms more."""
+
+            def send(self, prompt, cfg, key):
+                with self.cond:
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                    self.cond.notify_all()
+                    self.cond.wait_for(lambda: self.peak >= self.target, timeout=10)
+                time.sleep(0.010)  # time for a send past the cap to raise the peak
+                with self.cond:
+                    self.in_flight -= 1
+                return LlmReply(text="reply")
+
+        doc = synthetic_gt(9 * MAX_IN_FLIGHT)
+        doc = doc.with_blocks(tuple(b for b in doc.blocks if len(b.line_ids) == 2))
+        assert len(doc.blocks) == 3 * MAX_IN_FLIGHT
+        backend = Lingering(MAX_IN_FLIGHT)
+        _, outcomes = run(doc, backend, config())
+        assert backend.peak == MAX_IN_FLIGHT
+        assert sum(o.wait_s is not None for o in outcomes) == len(doc.blocks)
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")  # the deaths this test makes
+    def test_block_whose_helper_thread_died_fails_the_run(self):
+        class ExitsOnHelpers(self.Slow):
+            def send(self, prompt, cfg, key):
+                if threading.current_thread().name == "blockspot-helper":
+                    raise SystemExit  # escapes the helper's loop, which the thread drops quietly
+                return super().send(prompt, cfg, key)
+
+        doc = synthetic_gt(11)
+        with pytest.raises(PipelineError, match="its thread died"):
+            run(doc, ExitsOnHelpers(self.replies(doc)), config())
 
     def test_runs_start_no_new_threads(self):
         doc = synthetic_gt(11)
